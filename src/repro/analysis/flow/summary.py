@@ -256,9 +256,9 @@ def _value_kind(value: Optional[ast.expr]) -> str:
 def _raises_only(body: List[ast.stmt]) -> bool:
     """True for stub bodies: docstring plus nothing but ``raise``.
 
-    Such methods deliberately opt *out* of a protocol (e.g. a sharded
-    simulation whose ``snapshot`` raises), so serialization rules must
-    not treat them as entry points.
+    Such methods deliberately opt *out* of a protocol (e.g. a class
+    whose ``snapshot`` raises), so serialization rules must not treat
+    them as entry points.
     """
     stmts = list(body)
     if (

@@ -629,10 +629,6 @@ def cmd_network(args: argparse.Namespace) -> int:
             print(f"network: {name.replace('_', '-')} {rate} "
                   f"outside [0, 1)", file=sys.stderr)
             return 2
-    if args.shards and args.sanitize:
-        print("network: --shards and --sanitize cannot be combined",
-              file=sys.stderr)
-        return 2
     plan = FaultPlan(
         corrupt_rate=args.corrupt_rate,
         credit_loss_rate=args.credit_loss,
@@ -643,27 +639,13 @@ def cmd_network(args: argparse.Namespace) -> int:
         ("low-radix", args.low_radix, args.low_levels),
     ):
         cfg = NetworkConfig(radix=radix, levels=levels)
-        if args.shards:
-            from .network import ShardedNetworkSimulation
-
-            sim = ShardedNetworkSimulation(
-                cfg, args.load, shards=args.shards,
-                faults=plan if plan.enabled else None,
-                scheduler=args.scheduler,
-            )
-            try:
-                r = sim.run(warmup=args.warmup, measure=args.measure,
-                            drain=args.drain)
-            finally:
-                sim.close()
-        else:
-            sim = ClosNetworkSimulation(
-                cfg, args.load, sanitize=args.sanitize,
-                faults=plan if plan.enabled else None,
-                scheduler=args.scheduler,
-            )
-            r = sim.run(warmup=args.warmup, measure=args.measure,
-                        drain=args.drain)
+        sim = ClosNetworkSimulation(
+            cfg, args.load, sanitize=args.sanitize,
+            faults=plan if plan.enabled else None,
+            scheduler=args.scheduler,
+        )
+        r = sim.run(warmup=args.warmup, measure=args.measure,
+                    drain=args.drain)
         rows.append((
             name, radix, 2 * levels - 1, sim.topology.num_hosts,
             f"{r.avg_latency:.1f}", f"{r.throughput:.3f}",
@@ -913,9 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--drain", type=int, default=8000)
     net.add_argument("--sanitize", action="store_true",
                      help="check link credit conservation every cycle")
-    net.add_argument("--shards", type=int, default=0, metavar="N",
-                     help="partition each Clos across N worker processes "
-                          "(byte-identical to the serial run)")
     net.add_argument("--corrupt-rate", type=float, default=0.0,
                      help="host-channel flit corruption probability "
                           "(builds a fault plan when nonzero)")

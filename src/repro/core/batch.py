@@ -1,16 +1,17 @@
 """Struct-of-arrays mirrors for the batched hot path.
 
-The batched arbitration path (``config.batch_hot_path``) replaces the
-per-flit Python scans of the eligibility loops with whole-matrix numpy
-operations.  For that to work without walking every buffer each cycle,
-the scan inputs — queue occupancies, head-flit facts, credit
-availability, output-VC ownership, resource busy horizons — must
-already live in flat arrays.  This module provides drop-in subclasses
-of the scalar state primitives that keep such arrays up to date
-*incrementally*: every mutation path (push/pop/clear, consume/restore,
-allocate/release, reserve/extend) writes its one array slot as it runs,
-so the arrays are consistent with the objects at every instant and the
-batched stages only ever read them.
+The buffered crossbar's batched arbitration path
+(``RouterConfig.batch_hot_path``) replaces the per-flit Python scans of
+the eligibility loops with whole-matrix numpy operations.  For that to
+work without walking every buffer each cycle, the scan inputs — queue
+occupancies, head-flit facts, credit availability, output-VC
+ownership, resource busy horizons — must already live in flat arrays.
+This module provides drop-in subclasses of the scalar state primitives
+that keep such arrays up to date *incrementally*: every mutation path
+(push/pop/clear, consume/restore, allocate/release, reserve/extend)
+writes its one array slot as it runs, so the arrays are consistent with
+the objects at every instant and the batched stages only ever read
+them.
 
 Mirroring is a construction-time substitution: the scalar objects are
 replaced (while empty / full / idle) by mirrored twins sharing arrays
@@ -58,9 +59,9 @@ class QueueArrays:
     """Flat per-queue fact arrays shared by a family of mirrored queues.
 
     One slot per queue: occupancy, and the head flit's ``is_head`` flag,
-    routing key (destination port, or next route hop), injection cycle,
-    and packet id.  Head-flit slots are stale while a queue is empty;
-    every batched consumer masks them with ``occ > 0`` first.
+    destination port, injection cycle, and packet id.  Head-flit slots
+    are stale while a queue is empty; every batched consumer masks them
+    with ``occ > 0`` first.
     """
 
     __slots__ = ("occ", "head", "key", "inj", "pid")
@@ -76,39 +77,27 @@ class QueueArrays:
 class MirroredFlitQueue(FlitQueue):
     """A :class:`FlitQueue` that mirrors its state into shared arrays.
 
-    ``route_key=True`` keys on the head flit's next route hop (the
-    network routers' output port; -1 when the route is exhausted)
-    instead of its switch destination.  Safe because every fact written
-    is settled before the push that exposes it: ``injected_at`` is
-    stamped in ``accept`` before the push, ``hops`` is incremented
-    before delivery into the next router's queue, and ``dest`` /
-    ``packet_id`` / ``is_head`` are immutable while buffered.
+    Safe because every fact written is settled before the push that
+    exposes it: ``injected_at`` is stamped in ``accept`` before the
+    push, and ``dest`` / ``packet_id`` / ``is_head`` are immutable while
+    buffered.
     """
 
-    __slots__ = ("_idx", "_arrays", "_route_key")
+    __slots__ = ("_idx", "_arrays")
 
     def __init__(
-        self,
-        maxlen: Optional[int],
-        idx: int,
-        arrays: QueueArrays,
-        route_key: bool = False,
+        self, maxlen: Optional[int], idx: int, arrays: QueueArrays
     ) -> None:
         super().__init__(maxlen)
         self._idx = idx
         self._arrays = arrays
-        self._route_key = route_key
 
     def _write_head(self, flit: Flit) -> None:
         a, i = self._arrays, self._idx
         a.head[i] = flit.is_head
         a.pid[i] = flit.packet_id
         a.inj[i] = flit.injected_at
-        if self._route_key:
-            hops, route = flit.hops, flit.route
-            a.key[i] = route[hops] if hops < len(route) else -1
-        else:
-            a.key[i] = flit.dest
+        a.key[i] = flit.dest
 
     def push(self, flit: Flit) -> None:
         super().push(flit)
@@ -220,12 +209,7 @@ class ArrayBusyTracker(BusyTracker):
 # ----------------------------------------------------------------------
 
 
-def mirror_vc_bank(
-    bank: VcBufferBank,
-    arrays: QueueArrays,
-    base: int,
-    route_key: bool = False,
-) -> None:
+def mirror_vc_bank(bank: VcBufferBank, arrays: QueueArrays, base: int) -> None:
     """Replace ``bank``'s queues with mirrored twins at ``base + vc``.
 
     Only valid while the bank is empty (mirroring happens at
@@ -234,7 +218,7 @@ def mirror_vc_bank(
     invariant(len(bank) == 0, "cannot mirror a non-empty buffer bank",
               check="batch-mirror")
     bank.queues = [
-        MirroredFlitQueue(q.maxlen, base + vc, arrays, route_key)
+        MirroredFlitQueue(q.maxlen, base + vc, arrays)
         for vc, q in enumerate(bank.queues)
     ]
 

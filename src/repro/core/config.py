@@ -63,11 +63,13 @@ class RouterConfig:
             allocation proceeds before VC allocation completes).  The
             paper's high-radix routers always speculate; disabling is
             provided for ablation.
-        batch_hot_path: Run the arbitration/eligibility hot loops as
-            struct-of-arrays numpy batches (see docs/architecture.md,
-            "Batched hot path").  Byte-identical to the scalar path by
-            contract; silently falls back to the scalar path when numpy
-            is unavailable.
+        batch_hot_path: Run the buffered crossbar's arbitration and
+            eligibility hot loops as struct-of-arrays numpy batches (see
+            docs/architecture.md, "Batched hot path").  Only
+            :class:`~repro.routers.buffered.BufferedCrossbarRouter`
+            reads this flag; every other organization ignores it.
+            Byte-identical to the scalar path by contract; silently
+            falls back to the scalar path when numpy is unavailable.
         seed: Seed for all randomized tie-breaking and traffic.
     """
 

@@ -53,23 +53,6 @@ class DelayLine(Generic[T]):
         """Return matured items without removing them."""
         return [item for due, _, item in self._heap if due <= now]
 
-    def pending(self, now: int) -> List[Tuple[int, T]]:
-        """``(due, item)`` pairs maturing by ``now``, in pop order.
-
-        Unlike :meth:`peek_ready` (heap-array order, sufficient for
-        membership probes) this sorts on ``(due, insertion counter)``,
-        so the returned sequence matches exactly what successive
-        :meth:`pop_ready` calls will deliver — the sharded engine
-        pre-draws per-credit fault decisions against this order.
-        Pure read.
-        """
-        return [
-            (due, item)
-            for due, _, item in sorted(
-                entry for entry in self._heap if entry[0] <= now
-            )
-        ]
-
     def next_due(self) -> "int | None":
         """Maturity cycle of the earliest queued item, or None.
 

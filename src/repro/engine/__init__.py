@@ -31,7 +31,6 @@ from ..core.errors import UnregisteredComponentError
 from .component import AlwaysActive, Component
 from .hooks import EngineHooks
 from .scheduler import EventScheduler, Scheduler, make_scheduler
-from .shard import ShardPool, ShardWorkerError, partition
 
 __all__ = [
     "AlwaysActive",
@@ -39,9 +38,6 @@ __all__ = [
     "EngineHooks",
     "EventScheduler",
     "Scheduler",
-    "ShardPool",
-    "ShardWorkerError",
     "UnregisteredComponentError",
     "make_scheduler",
-    "partition",
 ]

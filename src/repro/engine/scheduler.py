@@ -280,21 +280,6 @@ class Scheduler:
         self._active_slots = [s for s, on in enumerate(active) if on]
         self._n_active = len(self._active_slots)
 
-    def next_horizon(self, now: int) -> Optional[int]:
-        """Earliest upcoming cycle with possible work, or None.
-
-        Pure read over the wake sources (and, in event mode, the time
-        wheel's live head); the cycle stepper never jumps, but exposes
-        the same probe so sharded workers can report a horizon in
-        either mode.
-        """
-        horizon: Optional[int] = None
-        for source in self._wake_sources:
-            h = source(now)
-            if h is not None and (horizon is None or h < horizon):
-                horizon = h
-        return horizon
-
 
 class EventScheduler(Scheduler):
     """Event-driven drive mode: fast-forward over provably-idle spans.
@@ -423,10 +408,6 @@ class EventScheduler(Scheduler):
         wheel = list(state["wheel"])
         heapq.heapify(wheel)
         self._wheel = wheel
-
-    def next_horizon(self, now: int) -> Optional[int]:
-        """Wheel head merged with the wake sources (see base class)."""
-        return self._next_horizon(now)
 
 
 def make_scheduler(

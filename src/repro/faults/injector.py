@@ -597,20 +597,11 @@ class NetworkFaultInjector:
     # Credit loss (consulted from NetworkRouter.commit)
     # ------------------------------------------------------------------
 
-    def _decide_drop(self, router) -> bool:
-        """One loss decision on ``router``'s private credit stream.
-
-        Split from the bookkeeping so the sharded engine can pre-draw
-        decisions for credits that mature on a later cycle (the stream
-        is per-router, so consuming it ahead of the commit that acts on
-        the decision preserves the serial draw order).
-        """
+    def drop_credit(self, router, sink: Callable[[int], None], vc: int,
+                    cycle: int) -> bool:
         rng = self._credit_rngs.get(router.name)
-        return rng is not None and rng.random() < self.plan.credit_loss_rate
-
-    def record_drop(self, router, sink: Callable[[int], None], vc: int,
-                    cycle: int) -> None:
-        """Book a dropped credit: queue its resync, count it, emit."""
+        if rng is None or rng.random() >= self.plan.credit_loss_rate:
+            return False
         self._lost.append(
             (cycle + self.plan.credit_resync_timeout, sink, vc)
         )
@@ -619,12 +610,6 @@ class NetworkFaultInjector:
             self.hooks.emit_fault_inject(
                 CREDIT_LOSS, (router.name, vc), cycle
             )
-
-    def drop_credit(self, router, sink: Callable[[int], None], vc: int,
-                    cycle: int) -> bool:
-        if not self._decide_drop(router):
-            return False
-        self.record_drop(router, sink, vc, cycle)
         return True
 
     def pending_credits(self) -> List[Tuple[Callable[[int], None], int]]:

@@ -25,7 +25,7 @@ from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
 from ..workloads.source import WorkloadSource
-from .stats import LatencySample, RunResult, summarize
+from .stats import LatencySample, RunResult, check_windows, summarize
 
 RouterFactory = Callable[[RouterConfig], Router]
 PatternFactory = Callable[[RouterConfig], TrafficPattern]
@@ -45,6 +45,14 @@ class SweepSettings:
     #: Treat the run as saturated when fewer than this fraction of the
     #: labeled packets drain within the drain budget.
     min_drain_fraction: float = 0.999
+
+    def __post_init__(self) -> None:
+        check_windows(self.warmup, self.measure, self.drain)
+        if not 0.0 < self.min_drain_fraction <= 1.0:
+            raise ValueError(
+                "min_drain_fraction must be in (0, 1], got "
+                f"{self.min_drain_fraction}"
+            )
 
     def scaled(self, factor: float) -> "SweepSettings":
         """Scale all windows (used by reduced-scale benchmarks)."""
@@ -109,6 +117,8 @@ class SwitchSimulation:
         :meth:`run_workload` instead of :meth:`run`."""
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
+        if packet_size < 1:
+            raise ValueError(f"packet_size must be >= 1, got {packet_size}")
         #: Constructor arguments a checkpoint file needs to rebuild an
         #: equivalent simulation (see :mod:`repro.harness.checkpoint`);
         #: everything else is recoverable from the built object.

@@ -66,24 +66,14 @@ def _run_point(args) -> RunResult:
 def _run_network_point(args) -> RunResult:
     """Worker: simulate one network load point (module-level so it
     pickles under the spawn start method)."""
-    (config, load, topology, warmup, measure, drain, scheduler,
-     shards) = args
+    config, load, topology, warmup, measure, drain, scheduler = args
     # Imported lazily: the harness is importable without the network
     # stack and the child only pays for what it runs.
-    if shards is None:
-        from ..network.netsim import NetworkSimulation
+    from ..network.netsim import NetworkSimulation
 
-        sim = NetworkSimulation(config, load, topology=topology,
-                                scheduler=scheduler)
-        return sim.run(warmup=warmup, measure=measure, drain=drain)
-    from ..network.sharded import ShardedNetworkSimulation
-
-    sim = ShardedNetworkSimulation(config, load, shards=shards,
-                                   topology=topology, scheduler=scheduler)
-    try:
-        return sim.run(warmup=warmup, measure=measure, drain=drain)
-    finally:
-        sim.close()
+    sim = NetworkSimulation(config, load, topology=topology,
+                            scheduler=scheduler)
+    return sim.run(warmup=warmup, measure=measure, drain=drain)
 
 
 def run_network_sweep_parallel(
@@ -96,32 +86,23 @@ def run_network_sweep_parallel(
     drain: int = 30000,
     scheduler: str = "cycle",
     processes: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> SweepResult:
     """Parallel twin of :func:`repro.network.netsim.run_network_sweep`.
 
-    Two orthogonal levers: ``processes`` fans independent load points
-    over a process pool (point-level parallelism, like
-    :func:`run_load_sweep_parallel`); ``shards`` runs each point as a
-    :class:`~repro.network.sharded.ShardedNetworkSimulation` over that
-    many worker processes (cycle-level parallelism for big networks).
-    Results are byte-identical to the serial sweep either way — each
-    point re-derives every RNG stream from the seed, and sharding is
-    proven byte-identical by construction (see
-    ``docs/checkpoint_sharding.md``).
+    Fans independent load points over a process pool (point-level
+    parallelism, like :func:`run_load_sweep_parallel`).  Results are
+    byte-identical to the serial sweep: each point re-derives every RNG
+    stream from the seed.
 
     Args:
         processes: Pool size; defaults to ``min(len(loads), cpu_count)``.
             Must be >= 1 when given.  With ``processes=1`` the pool is
             skipped entirely.
-        shards: When set, each point runs sharded across this many
-            worker processes.  Combining ``processes > 1`` with
-            ``shards`` multiplies process counts; prefer one lever.
     """
     if processes is not None and processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
     jobs = [
-        (config, load, topology, warmup, measure, drain, scheduler, shards)
+        (config, load, topology, warmup, measure, drain, scheduler)
         for load in loads
     ]
     if processes == 1 or len(jobs) <= 1:

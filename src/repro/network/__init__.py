@@ -14,7 +14,6 @@ from .router import (
     OutputLink,
     pipeline_depth_for_radix,
 )
-from .sharded import ShardedNetworkSimulation
 from .topology import FoldedClos, PortRef, Topology
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "NetworkConfig",
     "NetworkSimulation",
     "ClosNetworkSimulation",
-    "ShardedNetworkSimulation",
     "run_network_sweep",
 ]

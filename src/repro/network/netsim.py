@@ -21,7 +21,7 @@ from ..core.errors import invariant
 from ..core.flit import Flit, make_packet, packet_id_state, set_packet_id_state
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
-from ..harness.stats import LatencySample, RunResult, summarize
+from ..harness.stats import LatencySample, RunResult, check_windows, summarize
 from ..workloads.base import Message, Workload
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
@@ -46,9 +46,12 @@ class NetworkConfig:
     packet_size: int = 1
     pipeline_delay: Optional[int] = None  # default: scale with log2(radix)
     seed: int = 1
-    #: Vectorized candidate scans in every router (repro.core.batch);
-    #: byte-identical results, ignored when numpy is unavailable.
-    batch_hot_path: bool = False
+
+    def __post_init__(self) -> None:
+        if self.packet_size < 1:
+            raise ValueError(
+                f"packet_size must be >= 1, got {self.packet_size}"
+            )
 
     def router_config(self, num_ports: int) -> NetworkRouterConfig:
         depth = (
@@ -64,7 +67,6 @@ class NetworkConfig:
             pipeline_delay=depth,
             channel_latency=self.channel_latency,
             credit_latency=self.credit_latency,
-            batch_hot_path=self.batch_hot_path,
         )
 
 
@@ -758,6 +760,7 @@ class NetworkSimulation:
         """
         if self._program is not None:
             raise RuntimeError("a run is already in progress")
+        check_windows(warmup, measure, drain)
         start = self.cycle
         warm_end = start + warmup
         measure_end = warm_end + measure
@@ -917,17 +920,20 @@ class NetworkSimulation:
     ) -> None:
         """Fold shared observability extras into a run result."""
         result.extra["stats.engine.cycles_skipped"] = float(
-            self._engine_skips()[0]
+            self._scheduler.cycles_skipped
         )
-        result.extra["stats.engine.ff_jumps"] = float(self._engine_skips()[1])
+        result.extra["stats.engine.ff_jumps"] = float(
+            self._scheduler.ff_jumps
+        )
         result.extra["stats.traffic.max_source_queue"] = float(
             self._peak_source_q
         )
         if workload_stats:
             for name, value in sorted(self._workload.stats().items()):
                 result.extra[f"stats.{name}"] = float(value)
-        for name, value in self._fault_extra():
-            result.extra[f"stats.{name}"] = float(value)
+        if self._faults is not None:
+            for name, value in sorted(self._faults.counters.items()):
+                result.extra[f"stats.{name}"] = float(value)
         if self._tracer is not None:
             # Aggregate trace counters ride along like the switch-level
             # harness does: folded through a scratch RouterStats so the
@@ -940,17 +946,6 @@ class NetworkSimulation:
             self._tracer.fold_stats(scratch)
             for name in sorted(scratch.extra):
                 result.extra[f"stats.{name}"] = float(scratch.extra[name])
-
-    def _engine_skips(self) -> Tuple[int, int]:
-        """(cycles_skipped, ff_jumps) of the drive loop (overridable)."""
-        return (self._scheduler.cycles_skipped, self._scheduler.ff_jumps)
-
-    def _fault_extra(self) -> List[Tuple[str, object]]:
-        """Sorted fault-counter items; the sharded front-end overrides
-        this to merge the per-worker counter dictionaries."""
-        if self._faults is None:
-            return []
-        return sorted(self._faults.counters.items())
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

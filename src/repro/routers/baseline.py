@@ -24,14 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.arbiter import BatchArbiterBank, RoundRobinArbiter, _np
-from ..core.batch import (
-    HAVE_NUMPY,
-    ArrayBusyTracker,
-    QueueArrays,
-    mirror_output_vcs,
-    mirror_vc_bank,
-)
+from ..core.arbiter import RoundRobinArbiter
 from ..core.config import RouterConfig
 from ..core.errors import invariant
 from ..core.flit import Flit
@@ -56,39 +49,11 @@ class BaselineRouter(Router):
         self._alloc: Dict[Tuple[int, int], int] = {}
         # Head flits become eligible after the RC and VA pipe stages.
         self._head_delay = config.route_latency + 1
-        self._batch = bool(config.batch_hot_path) and HAVE_NUMPY
-        if self._batch:
-            self._init_batch()
-
-    def _init_batch(self) -> None:
-        """Struct-of-arrays mirrors for the batched request gather.
-
-        Only the per-cycle eligibility scan is batched; the grant loop
-        (output arbitration, VA, transmits) keeps its scalar form so
-        stats and delay-line insertion order are untouched.  See
-        ``repro.core.batch`` for the mirroring contract.
-        """
-        k, v = self.config.radix, self.config.num_vcs
-        self._b_in = QueueArrays(k * v)
-        for i, bank in enumerate(self.inputs):
-            mirror_vc_bank(bank, self._b_in, i * v)
-        self._b_vc_owner = _np.full(k * v, -1, dtype=_np.int64)
-        self.output_vcs = mirror_output_vcs(self.output_vcs, self._b_vc_owner)
-        # _b_alloc2[i, vc] mirrors (i, vc) in self._alloc; maintained at
-        # the two _alloc mutation sites in _transmit.
-        self._b_alloc2 = _np.zeros((k, v), dtype=bool)
-        self.input_busy = ArrayBusyTracker(k)
-        self.output_busy = ArrayBusyTracker(k)
-        self._input_arb_b = BatchArbiterBank(k, v)
 
     # ------------------------------------------------------------------
 
     def _advance(self) -> None:
-        if self._batch:
-            requests = self._gather_requests_batched()
-        else:
-            requests = self._gather_requests()
-        self._grant(requests)
+        self._grant(self._gather_requests())
 
     def _gather_requests(self) -> Dict[int, List[Tuple[int, int, Flit]]]:
         """Input arbitration: one (input, vc, flit) request per free input.
@@ -112,50 +77,6 @@ class BaselineRouter(Router):
             invariant(flit is not None, "input arbiter granted a VC with "
                       "no eligible flit", cycle=self.cycle, port=i, vc=vc,
                       check="arbitration")
-            requests.setdefault(flit.dest, []).append((i, vc, flit))
-        return requests
-
-    def _gather_requests_batched(self) -> Dict[int, List[Tuple[int, int, Flit]]]:
-        """Whole-matrix equivalent of :meth:`_gather_requests`.
-
-        The gather is a pure read of pre-stage state (its only state
-        change is input-arbiter pointer motion), so one vectorized
-        eligibility matrix over the free inputs reproduces the scalar
-        ascending-i scan exactly; skipped rows are all-False rows for
-        the arbiter bank (no grant, no pointer motion either way).
-        """
-        now = self.cycle
-        k, v = self.config.radix, self.config.num_vcs
-        a = self._b_in
-        requests: Dict[int, List[Tuple[int, int, Flit]]] = {}
-        free = _np.nonzero(self.input_busy.array <= now)[0]
-        if not free.size:
-            return requests
-        eligible = a.occ.reshape(k, v)[free] > 0
-        if not eligible.any():
-            return requests
-        # Head flits without a held output VC wait out the RC/VA delay
-        # and need a free VC at their destination (_eligible's gating).
-        gated = a.head.reshape(k, v)[free] & ~self._b_alloc2[free]
-        if gated.any():
-            young = (now - a.inj.reshape(k, v)[free]) < self._head_delay
-            no_free = (self._b_vc_owner.reshape(k, v) >= 0).all(axis=1)
-            # Stale keys of empty queues may index arbitrary outputs,
-            # but those lanes are already masked off by occ > 0.
-            eligible &= ~(gated & (young | no_free[a.key.reshape(k, v)[free]]))
-        if self._stuck_inputs:
-            for (i, vc) in sorted(self._stuck_inputs):
-                pos = int(_np.searchsorted(free, i))
-                if pos < free.size and free[pos] == i:
-                    eligible[pos, vc] = False
-        winners = self._input_arb_b.arbitrate_rows(free, eligible)
-        for pos in _np.nonzero(winners >= 0)[0].tolist():
-            i = int(free[pos])
-            vc = int(winners[pos])
-            flit = self.inputs[i].queues[vc].head()
-            invariant(flit is not None, "batched input arbitration granted "
-                      "a VC with no eligible flit", cycle=now, port=i,
-                      vc=vc, check="arbitration")
             requests.setdefault(flit.dest, []).append((i, vc, flit))
         return requests
 
@@ -201,13 +122,9 @@ class BaselineRouter(Router):
         if flit.is_head and key not in self._alloc:
             out_vc = self._allocate_vc(out, flit.packet_id)
             self._alloc[key] = out_vc
-            if self._batch:
-                self._b_alloc2[i, vc] = True
         flit.out_vc = self._alloc[key]
         if flit.is_tail:
             del self._alloc[key]
-            if self._batch:
-                self._b_alloc2[i, vc] = False
         popped = self.inputs[i][vc].pop()
         invariant(popped is flit, "input buffer head changed between "
                   "grant and pop", cycle=self.cycle, port=i, vc=vc,

@@ -21,6 +21,11 @@ class TestSwitchSimulation:
         with pytest.raises(ValueError):
             SwitchSimulation(DistributedRouter(CFG), load=1.2)
 
+    def test_invalid_packet_size(self):
+        """packet_size=0 used to surface as a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="packet_size"):
+            SwitchSimulation(DistributedRouter(CFG), load=0.5, packet_size=0)
+
     def test_invalid_injection(self):
         with pytest.raises(ValueError):
             SwitchSimulation(DistributedRouter(CFG), load=0.5,
@@ -89,6 +94,23 @@ class TestSweepSettings:
         assert half.warmup == 500
         assert half.measure == 1000
         assert half.drain == 5000
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"warmup": -5}, "warmup"),
+        ({"measure": 0}, "measure"),
+        ({"drain": -1}, "drain"),
+        ({"min_drain_fraction": 0.0}, "min_drain_fraction"),
+        ({"min_drain_fraction": 1.5}, "min_drain_fraction"),
+    ])
+    def test_rejects_unmeasurable_windows(self, kwargs, name):
+        """Bad windows used to run and report a throughput that looked
+        measured (warmup=-5 gave 0.256; measure=0 gave 0.0, unsaturated)."""
+        with pytest.raises(ValueError, match=name):
+            SweepSettings(**kwargs)
+
+    def test_boundary_windows_accepted(self):
+        s = SweepSettings(warmup=0, measure=1, drain=0, min_drain_fraction=1.0)
+        assert s.measure == 1
 
     def test_scaled_floors_at_one(self):
         s = SweepSettings(warmup=10, measure=10, drain=10)

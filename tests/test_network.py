@@ -145,6 +145,23 @@ class TestClosNetworkSimulation:
         with pytest.raises(ValueError):
             ClosNetworkSimulation(self.CFG, load=1.5)
 
+    def test_config_rejects_empty_packets(self):
+        """packet_size=0 used to surface as a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="packet_size"):
+            NetworkConfig(packet_size=0)
+
+    @pytest.mark.parametrize("windows, name", [
+        ((-5, 300, 2000), "warmup"),
+        ((200, 0, 2000), "measure"),
+        ((200, 300, -1), "drain"),
+    ])
+    def test_rejects_unmeasurable_windows(self, windows, name):
+        sim = ClosNetworkSimulation(self.CFG, load=0.3)
+        with pytest.raises(ValueError, match=name):
+            sim.start_run(*windows)
+        # Nothing was started, so a valid program can still begin.
+        sim.start_run(0, 1, 0)
+
     def test_multi_flit_packets(self):
         cfg = NetworkConfig(radix=8, levels=2, packet_size=4)
         sim = ClosNetworkSimulation(cfg, load=0.3)

@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SweepSettings, run_load_sweep
-from repro.harness.parallel import run_load_sweep_parallel
+from repro.harness.parallel import (
+    run_load_sweep_parallel,
+    run_network_sweep_parallel,
+)
+from repro.network.netsim import NetworkConfig, run_network_sweep
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.traffic.patterns import NeighborExchange, Shuffle, Tornado
 
@@ -88,6 +92,24 @@ class TestParallelSweep:
                 processes=1,
             )
 
+
+class TestParallelNetworkSweep:
+    CFG = NetworkConfig(radix=4, levels=2, num_vcs=2, buffer_depth=4)
+    WINDOWS = dict(warmup=50, measure=100, drain=1000)
+
+    def test_pool_matches_serial_sweep(self):
+        """Point-level pool: every point re-derives its RNG streams
+        from the seed, so results equal the serial sweep exactly."""
+        serial = run_network_sweep(self.CFG, LOADS, **self.WINDOWS)
+        pooled = run_network_sweep_parallel(self.CFG, LOADS, processes=2,
+                                            **self.WINDOWS)
+        assert [r.__dict__ for r in pooled.results] == [
+            r.__dict__ for r in serial.results
+        ]
+
+    def test_zero_processes_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            run_network_sweep_parallel(self.CFG, LOADS, processes=0)
 
 class TestTornado:
     def test_halfway_destination(self):
