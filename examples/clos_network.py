@@ -12,8 +12,11 @@ Run:
     python examples/clos_network.py
 """
 
-from repro import ClosNetworkSimulation, FoldedClos, NetworkConfig
+from repro import FoldedClos, NetworkConfig, SweepSettings
 from repro.harness.report import format_table
+from repro.network import run_network_sweep
+
+LOADS = (0.1, 0.3, 0.5, 0.7)
 
 
 def main() -> None:
@@ -26,12 +29,16 @@ def main() -> None:
               f"{topo.num_hosts} hosts, {topo.num_switches} switches, "
               f"avg {topo.average_hop_count():.2f} router hops")
 
+    settings = SweepSettings(warmup=600, measure=800, drain=6000)
+    curves = [
+        run_network_sweep(cfg, LOADS, settings=settings)
+        for cfg in (high, low)
+    ]
     rows = []
-    for load in (0.1, 0.3, 0.5, 0.7):
+    for i, load in enumerate(LOADS):
         row = [f"{load:.1f}"]
-        for cfg in (high, low):
-            sim = ClosNetworkSimulation(cfg, load)
-            r = sim.run(warmup=600, measure=800, drain=6000)
+        for curve in curves:
+            r = curve.results[i]
             row.append(
                 f"{r.avg_latency:.1f}" + ("*" if r.saturated else "")
             )

@@ -48,7 +48,7 @@ it subscribes to the simulation's scheduler-level ``cycle_end`` hook
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..core.buffers import FlitQueue
 from ..core.errors import InvariantViolation
@@ -81,9 +81,11 @@ class SimSanitizer(CheckedRouter):
         # check cadence is unchanged by active-set scheduling.
         inner.hooks.on_flit_move(self._on_flit_move)
         inner.hooks.on_cycle_end(self._on_cycle_end)
-        # Packet id -> number of accepted flits not yet delivered,
-        # backing the stale-ownership check.
-        self._live_packets: Dict[int, int] = {}
+        # Packets with an accepted flit whose tail has not been ejected,
+        # backing the stale-ownership check.  Not a count of the flits
+        # inside: a fast router can eject a head before its tail is
+        # accepted, and the packet still owns its output VC meanwhile.
+        self._live_packets: Set[int] = set()
         # The shared-buffer crossbar's occupancy() overcounts (originals
         # held at the input while copies are in flight), so conservation
         # is an inequality there and an equality everywhere else.
@@ -119,7 +121,7 @@ class SimSanitizer(CheckedRouter):
     def _on_flit_move(self, kind: str, flit, port: int, cycle: int) -> None:
         if kind == "accept":
             self.record_accept(flit)
-            _bucket(self._live_packets, flit.packet_id)
+            self._live_packets.add(flit.packet_id)
         elif kind == "eject":
             self._check_ejection(flit, cycle)
 
@@ -143,11 +145,8 @@ class SimSanitizer(CheckedRouter):
 
     def _check_ejection(self, flit, cycle: int) -> None:
         super()._check_ejection(flit, cycle)
-        remaining = self._live_packets.get(flit.packet_id, 0) - 1
-        if remaining <= 0:
-            self._live_packets.pop(flit.packet_id, None)
-        else:
-            self._live_packets[flit.packet_id] = remaining
+        if flit.is_tail:
+            self._live_packets.discard(flit.packet_id)
 
     def assert_drained(self) -> None:
         super().assert_drained()
@@ -242,10 +241,10 @@ class SimSanitizer(CheckedRouter):
             for vc, owner in enumerate(state.owners):
                 if owner is None:
                     continue
-                if self._live_packets.get(owner, 0) <= 0:
+                if owner not in self._live_packets:
                     raise InvariantViolation(
                         f"output VC owned by packet {owner}, which has "
-                        "no undelivered flits (stale ownership)",
+                        "no undelivered tail (stale ownership)",
                         cycle=cycle,
                         port=out,
                         vc=vc,

@@ -644,8 +644,7 @@ def cmd_network(args: argparse.Namespace) -> int:
             faults=plan if plan.enabled else None,
             scheduler=args.scheduler,
         )
-        r = sim.run(warmup=args.warmup, measure=args.measure,
-                    drain=args.drain)
+        r = sim.run(_settings(args))
         rows.append((
             name, radix, 2 * levels - 1, sim.topology.num_hosts,
             f"{r.avg_latency:.1f}", f"{r.throughput:.3f}",

@@ -111,7 +111,7 @@ class RouterConfig:
                 "crosspoint_buffer_depth must be >= 1, got "
                 f"{self.crosspoint_buffer_depth}"
             )
-        if self.radix % self.subswitch_size != 0:
+        if self.subswitch_size < 1 or self.radix % self.subswitch_size:
             raise ValueError(
                 f"subswitch_size {self.subswitch_size} must divide radix "
                 f"{self.radix}"

@@ -28,7 +28,7 @@ import pickle
 from typing import Any, Dict
 
 #: On-disk format version; bumped whenever the payload layout changes.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(sim, path) -> None:
@@ -155,8 +155,8 @@ def _network_spec(sim) -> Dict[str, Any]:
         "load": sim.load,
         "topology": sim.topology,
         "host_pattern": sim._host_pattern,
-        "active_set": sim._scheduler.active_set,
-        "scheduler": _scheduler_mode(sim._scheduler),
+        "active_set": sim._sched.active_set,
+        "scheduler": _scheduler_mode(sim._sched),
         "faults": None if sim._faults is None else sim._faults.plan,
         "workload": sim._workload,
         "tracer": _tracer_spec(sim._tracer),

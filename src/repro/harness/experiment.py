@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import RouterConfig
 from ..core.errors import invariant
 from ..core.flit import packet_id_state, set_packet_id_state
 from ..engine import make_scheduler
-from ..routers.base import Router
+from ..routers.base import Router, RouterStats
 from ..traffic.injection import Bernoulli, InjectionProcess, MarkovOnOff
 from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
 from ..workloads.source import WorkloadSource
-from .stats import LatencySample, RunResult, check_windows, summarize
+from .stats import LatencySample, RunResult, summarize
 
 RouterFactory = Callable[[RouterConfig], Router]
 PatternFactory = Callable[[RouterConfig], TrafficPattern]
@@ -47,7 +47,15 @@ class SweepSettings:
     min_drain_fraction: float = 0.999
 
     def __post_init__(self) -> None:
-        check_windows(self.warmup, self.measure, self.drain)
+        # An empty measurement window, or a negative warm-up or drain,
+        # would run and report a throughput that looks measured but is
+        # not.
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.measure < 1:
+            raise ValueError(f"measure must be >= 1, got {self.measure}")
+        if self.drain < 0:
+            raise ValueError(f"drain must be >= 0, got {self.drain}")
         if not 0.0 < self.min_drain_fraction <= 1.0:
             raise ValueError(
                 "min_drain_fraction must be in (0, 1], got "
@@ -64,7 +72,390 @@ class SweepSettings:
         )
 
 
-class SwitchSimulation:
+class StagedRun:
+    """The Section 4.3 measurement program, shared by both harnesses.
+
+    Warm up, label the packets injected during a measurement window,
+    then drain until the labeled packets arrive or the drain budget
+    runs out.  :class:`SwitchSimulation` (one router) and
+    :class:`~repro.network.netsim.NetworkSimulation` (a network of
+    routers) inherit the program and keep only their per-cycle code.
+
+    A harness's ``__init__`` calls ``super().__init__()`` and then sets
+    ``_sched`` (its drive loop), ``_workload``, ``_faults`` and
+    ``_tracer``; its per-cycle phases label packets while
+    ``_measuring`` is set, count them in ``_labeled_outstanding`` /
+    ``_labeled_total``, and count delivered flits while
+    ``_count_flits`` is set.  It also supplies ``_num_ports()`` and
+    ``_capacity()`` (the summary's normalization), ``_source_backlog()``
+    (flits queued at the sources and the peak per-source queue),
+    ``_run_stats()`` (the ``RouterStats`` the run's ``stats.*`` extras
+    fold from), ``_sanitized()``, and the checkpoint pair: a
+    ``snapshot()`` that deep-copies :meth:`_snapshot_state` of its own
+    pieces, and ``_restore_parts(state)`` that puts them back.
+    """
+
+    #: Measured runs report ``extra["undelivered"]``, the labeled
+    #: packets still in flight when the drain budget ran out.
+    REPORT_UNDELIVERED = True
+
+    def __init__(self) -> None:
+        self._measuring = False
+        self._count_flits = False
+        self._labeled_outstanding = 0
+        self._labeled_total = 0
+        self.sample = LatencySample()
+        self.measured_flits = 0
+        #: In-progress measurement program (see :meth:`start_run`), or
+        #: None when no staged run is active.  Plain picklable data so
+        #: a checkpoint taken mid-run resumes at the same stage.
+        self._program: Optional[Dict[str, Any]] = None
+
+    @property
+    def cycle(self) -> int:
+        """Current simulation cycle (owned by the drive loop)."""
+        return self._sched.now
+
+    def step(self) -> None:
+        """Advance exactly one simulation cycle."""
+        self.run_until(self._sched.now + 1)
+
+    def run_until(
+        self, end: int, stop: Optional[Callable[[], bool]] = None
+    ) -> int:
+        """Advance through cycles ``[cycle, end)``, or until ``stop()``."""
+        return self._sched.run_until(end, stop=stop)
+
+    def run(
+        self, settings: Optional[SweepSettings] = None, **windows: Any
+    ) -> RunResult:
+        """Warm up, measure, drain; return the summarized result.
+
+        Pass a :class:`SweepSettings` or its field names
+        (``run(warmup=200, measure=300, drain=2000)``); omitted fields
+        take their :class:`SweepSettings` defaults.  Each phase is one
+        ``run_until`` call, so fast-forward jumps never cross a
+        warm-up/measurement boundary.
+        """
+        self.start_run(settings, **windows)
+        self.advance_run()
+        return self.finish_run()
+
+    def run_workload(self, max_cycles: int = 1_000_000) -> RunResult:
+        """Run the attached workload DAG to completion; summarize.
+
+        The simulation advances until every workload message has been
+        delivered (or ``max_cycles`` elapse — the result is then marked
+        saturated and ``undelivered`` counts the stuck messages).  The
+        latency sample holds per-message send-to-ejection latencies
+        from the workload's own records; aggregate DAG metrics (flow
+        percentiles, per-phase step time and skew, makespan) land in
+        the ``stats.workload.*`` extras.
+        """
+        self.start_workload_run(max_cycles)
+        self.advance_run()
+        return self.finish_run()
+
+    # ------------------------------------------------------------------
+    # Staged measurement program (checkpointable run)
+    # ------------------------------------------------------------------
+
+    def start_run(
+        self, settings: Optional[SweepSettings] = None, **windows: Any
+    ) -> None:
+        """Begin the warm-up/measure/drain program without running it.
+
+        Takes the same arguments as :meth:`run`.  The program is plain
+        data (absolute stage boundaries plus bookkeeping), so a
+        snapshot taken between :meth:`advance_run` calls resumes
+        mid-run byte-identically.
+        """
+        if self._program is not None:
+            raise RuntimeError("a run is already in progress")
+        if settings is None:
+            settings = SweepSettings(**windows)
+        elif windows:
+            raise TypeError(
+                "pass either a SweepSettings or its fields, not both"
+            )
+        warm_end = self.cycle + settings.warmup
+        measure_end = warm_end + settings.measure
+        self._program = {
+            "kind": "measure",
+            "stage": 0,
+            "final": 3,
+            "bounds": [warm_end, measure_end, measure_end + settings.drain],
+            "measure_start": 0,
+            "measured_cycles": 0,
+            "min_drain_fraction": settings.min_drain_fraction,
+        }
+
+    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
+        """Begin the workload-DAG program without running it."""
+        if self._program is not None:
+            raise RuntimeError("a run is already in progress")
+        if self._workload is None:
+            raise ValueError(
+                f"run_workload() needs a {type(self).__name__}"
+                "(workload=...)"
+            )
+        if max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
+        self._count_flits = True
+        self._program = {
+            "kind": "workload",
+            "stage": 0,
+            "final": 1,
+            "bounds": [self.cycle + max_cycles],
+            "run_start": self.cycle,
+        }
+
+    def advance_run(self, stop_at: Optional[int] = None) -> bool:
+        """Advance the active program; True once it has completed.
+
+        With ``stop_at`` set, pauses at the first *executed* cycle at
+        or beyond it (fast-forward jumps land on their natural targets
+        first, so pausing never perturbs the jump structure and the
+        resumed run stays byte-identical to an uninterrupted one).
+        """
+        program = self._program
+        if program is None:
+            raise RuntimeError("no run in progress; call start_run() first")
+        paused = (
+            None if stop_at is None
+            else (lambda: self._sched.now >= stop_at)
+        )
+        while program["stage"] < program["final"]:
+            stage = program["stage"]
+            end = program["bounds"][stage]
+            self.run_until(end, stop=self._stage_stop(program, stage, paused))
+            if self._stage_done(program, stage, end):
+                self._finish_stage(program, stage)
+            else:
+                return False  # paused mid-stage
+        return True
+
+    def _stage_stop(
+        self,
+        program: Dict[str, Any],
+        stage: int,
+        paused: Optional[Callable[[], bool]],
+    ) -> Optional[Callable[[], bool]]:
+        """Combined stop predicate for one program stage."""
+        inner = self._stage_predicate(program, stage)
+        if inner is None:
+            return paused
+        if paused is None:
+            return inner
+        return lambda: paused() or inner()
+
+    def _stage_predicate(
+        self, program: Dict[str, Any], stage: int
+    ) -> Optional[Callable[[], bool]]:
+        if program["kind"] == "workload":
+            return self._workload.done
+        if stage == 2:  # drain
+            return lambda: self._labeled_outstanding <= 0
+        return None
+
+    def _stage_done(
+        self, program: Dict[str, Any], stage: int, end: int
+    ) -> bool:
+        """Did the stage complete (vs. pausing for a checkpoint)?"""
+        if self._sched.now >= end:
+            return True
+        inner = self._stage_predicate(program, stage)
+        return inner is not None and inner()
+
+    def _finish_stage(self, program: Dict[str, Any], stage: int) -> None:
+        """Apply the flag flips at a completed stage boundary."""
+        program["stage"] = stage + 1
+        if program["kind"] != "measure":
+            return
+        if stage == 0:  # warm-up done: start labeling
+            self._measuring = True
+            self._count_flits = True
+            program["measure_start"] = self.cycle
+        elif stage == 1:  # measurement window closed
+            self._measuring = False
+            self._count_flits = False
+            program["measured_cycles"] = (
+                self.cycle - program["measure_start"]
+            )
+
+    def finish_run(self) -> RunResult:
+        """Summarize a completed program into a :class:`RunResult`."""
+        program = self._program
+        if program is None:
+            raise RuntimeError("no run in progress")
+        if program["stage"] < program["final"]:
+            raise RuntimeError("run has not completed; advance_run() first")
+        self._program = None
+        if program["kind"] == "workload":
+            return self._finish_workload(program)
+        undelivered = self._labeled_outstanding
+        delivered_fraction = (
+            1.0
+            if self._labeled_total == 0
+            else 1.0 - undelivered / self._labeled_total
+        )
+        result = self._summarize(
+            self.load,
+            program["measured_cycles"],
+            delivered_fraction < program["min_drain_fraction"],
+        )
+        if self.REPORT_UNDELIVERED:
+            result.extra["undelivered"] = float(undelivered)
+        self._fold_extras(result)
+        return result
+
+    def _finish_workload(self, program: Dict[str, Any]) -> RunResult:
+        workload = self._workload
+        self._count_flits = False
+        for latency in workload.message_latencies():
+            self.sample.add(latency)
+        result = self._summarize(
+            0.0,
+            max(1, self.cycle - program["run_start"]),
+            not workload.done(),
+        )
+        result.extra["undelivered"] = float(workload.remaining)
+        self._fold_extras(result)
+        return result
+
+    def _summarize(
+        self, offered_load: float, measured_cycles: int, saturated: bool
+    ) -> RunResult:
+        return summarize(
+            offered_load=offered_load,
+            sample=self.sample,
+            measured_flits=self.measured_flits,
+            measured_cycles=measured_cycles,
+            num_ports=self._num_ports(),
+            capacity=self._capacity(),
+            saturated=saturated,
+            cycles=self.cycle,
+        )
+
+    def _fold_extras(self, result: RunResult) -> None:
+        """Fold shared observability extras into a run result."""
+        backlog, peak = self._source_backlog()
+        result.extra["source_backlog"] = float(backlog)
+        # Peak injection-queue depth across sources: how far the worst
+        # source queue got behind channel bandwidth.
+        result.extra["stats.traffic.max_source_queue"] = float(peak)
+        # Drive-loop observability: how much of the run fast-forward
+        # skipped (0 in cycle mode).  Deliberately excluded from
+        # mode-equivalence comparisons — they are the only legitimate
+        # difference between the two schedulers.
+        result.extra["stats.engine.cycles_skipped"] = float(
+            self._sched.cycles_skipped
+        )
+        result.extra["stats.engine.ff_jumps"] = float(self._sched.ff_jumps)
+        stats = self._run_stats()
+        if self._tracer is not None:
+            if self._workload is not None:
+                self._workload.annotate(self._tracer)
+            self._tracer.fold_stats(stats)
+        if self._workload is not None:
+            self._workload.fold_stats(stats)
+        # Ad-hoc RouterStats.bump() counters ride along under a
+        # ``stats.`` prefix so they survive into reports and sweeps.
+        for name in sorted(stats.extra):
+            result.extra[f"stats.{name}"] = float(stats.extra[name])
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+
+    def _snapshot_state(self, parts: Dict[str, Any]) -> Dict[str, Any]:
+        """A harness's live ``parts`` plus the shared state, uncopied.
+
+        Each harness's ``snapshot`` collects its own pieces as live
+        references; this adds the scheduler, the packet-id stream, the
+        staged-run program, the workload, the run counters, the fault
+        injector and the tracer.  ``snapshot`` deep-copies the result
+        in one pass, so aliasing (a flit both buffered and in flight,
+        or the workload shared by every source) survives the capture.
+        """
+        if self._sanitized():
+            raise ValueError(
+                "cannot checkpoint a sanitized simulation; rerun the "
+                "sanitizer after restore instead"
+            )
+        return dict(
+            parts,
+            sched=self._sched.snapshot(),
+            packet_ids=packet_id_state(),
+            program=self._program,
+            workload=self._workload,
+            run={
+                "measuring": self._measuring,
+                "count_flits": self._count_flits,
+                "labeled_outstanding": self._labeled_outstanding,
+                "labeled_total": self._labeled_total,
+                "sample": self.sample,
+                "measured_flits": self.measured_flits,
+            },
+            faults=None if self._faults is None else self._faults.snapshot(),
+            tracer=(
+                None if self._tracer is None else dict(vars(self._tracer))
+            ),
+        )
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Apply a :meth:`snapshot` capture onto this simulation.
+
+        The simulation must have been constructed with the same
+        parameters as the one captured (same router or topology, load,
+        pattern, seed, fault plan, workload, tracer, scheduler mode);
+        only mutable state is replaced, in place, so scheduler
+        registration and hook subscriptions stay wired.
+        """
+        if self._sanitized():
+            raise ValueError("cannot restore onto a sanitized simulation")
+        for key, label, live in (
+            ("faults", "fault plan", self._faults),
+            ("workload", "workload", self._workload),
+            ("tracer", "tracer", self._tracer),
+        ):
+            if (state[key] is None) != (live is None):
+                raise ValueError(
+                    f"{label} mismatch between snapshot and simulation"
+                )
+        state = copy.deepcopy(state)
+        # The harness's own pieces first: it checks the capture's shape
+        # before touching anything, and the fault injector resolves its
+        # held credit sinks against the restored routers.
+        self._restore_parts(state)
+        self._sched.restore(state["sched"])
+        set_packet_id_state(state["packet_ids"])
+        self._program = state["program"]
+        self._workload = state["workload"]
+        run = state["run"]
+        self._measuring = run["measuring"]
+        self._count_flits = run["count_flits"]
+        self._labeled_outstanding = run["labeled_outstanding"]
+        self._labeled_total = run["labeled_total"]
+        self.sample = run["sample"]
+        self.measured_flits = run["measured_flits"]
+        if self._faults is not None:
+            self._faults.restore(state["faults"])
+        if self._tracer is not None:
+            vars(self._tracer).clear()
+            vars(self._tracer).update(state["tracer"])
+
+    def save_checkpoint(self, path) -> None:
+        """Persist this simulation (state plus rebuild spec) to disk.
+
+        Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
+        """
+        from .checkpoint import save_checkpoint
+
+        save_checkpoint(self, path)
+
+
+class SwitchSimulation(StagedRun):
     """Drives one router instance with per-input traffic sources."""
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
@@ -119,6 +510,7 @@ class SwitchSimulation:
             raise ValueError(f"load must be in [0, 1], got {load}")
         if packet_size < 1:
             raise ValueError(f"packet_size must be >= 1, got {packet_size}")
+        super().__init__()
         #: Constructor arguments a checkpoint file needs to rebuild an
         #: equivalent simulation (see :mod:`repro.harness.checkpoint`);
         #: everything else is recoverable from the built object.
@@ -210,36 +602,13 @@ class SwitchSimulation:
         self._next_inject = [0] * k
         self._packet_vc: List[Optional[int]] = [None] * k
         self._vc_rr = [0] * k
-        self._measuring = False
         self._generating = True
-        self._labeled_outstanding = 0
-        self._labeled_total = 0
-        self.sample = LatencySample()
-        self.measured_flits = 0
-        self._count_flits = False
         #: When record_delivered is set, every (flit, eject_cycle) pair
         #: is retained here for inspection (costs memory on long runs).
         self.record_delivered = record_delivered
         self.delivered: List[tuple] = []
-        #: In-progress measurement program (see :meth:`start_run`), or
-        #: None when no staged run is active.  Plain picklable data so
-        #: a checkpoint taken mid-run resumes at the same stage.
-        self._program: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def cycle(self) -> int:
-        """Current simulation cycle (owned by the drive loop)."""
-        return self._sched.now
-
-    def step(self) -> None:
-        """Advance exactly one simulation cycle."""
-        self._sched.run_until(self._sched.now + 1)
-
-    def run_until(self, end: int) -> int:
-        """Advance the simulation through cycles ``[cycle, end)``."""
-        return self._sched.run_until(end)
 
     def _pre_cycle(self, now: int) -> None:
         """Harness work before the engine cycle: faults, traffic."""
@@ -392,254 +761,33 @@ class SwitchSimulation:
         return None
 
     # ------------------------------------------------------------------
-
-    def run(self, settings: Optional[SweepSettings] = None) -> RunResult:
-        """Warm up, measure, drain; return the summarized result.
-
-        Each phase is one ``run_until`` call, so fast-forward jumps
-        never cross a warm-up/measurement boundary — the flag flips
-        happen between calls, exactly where the per-cycle loop
-        flipped them.
-        """
-        self.start_run(settings)
-        self.advance_run()
-        return self.finish_run()
-
-    # ------------------------------------------------------------------
-    # Staged measurement program (checkpointable run)
+    # StagedRun hooks and checkpointing
     # ------------------------------------------------------------------
 
-    def start_run(self, settings: Optional[SweepSettings] = None) -> None:
-        """Begin the warm-up/measure/drain program without running it.
+    def _num_ports(self) -> int:
+        return self.config.radix
 
-        The program is plain data (absolute stage boundaries plus
-        bookkeeping), so a snapshot taken between :meth:`advance_run`
-        calls resumes mid-run byte-identically.
-        """
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        settings = settings or SweepSettings()
-        start = self.cycle
-        warm_end = start + settings.warmup
-        measure_end = warm_end + settings.measure
-        self._program = {
-            "kind": "measure",
-            "stage": 0,
-            "final": 3,
-            "bounds": [warm_end, measure_end, measure_end + settings.drain],
-            "measure_start": 0,
-            "measured_cycles": 0,
-            "min_drain_fraction": settings.min_drain_fraction,
-        }
+    def _capacity(self) -> float:
+        return self.config.capacity_flits_per_cycle
 
-    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
-        """Begin the workload-DAG program without running it."""
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        if self._workload is None:
-            raise ValueError(
-                "run_workload() needs a SwitchSimulation(workload=...)"
-            )
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        self._count_flits = True
-        self._program = {
-            "kind": "workload",
-            "stage": 0,
-            "final": 1,
-            "bounds": [self.cycle + max_cycles],
-            "run_start": self.cycle,
-        }
-
-    def advance_run(self, stop_at: Optional[int] = None) -> bool:
-        """Advance the active program; True once it has completed.
-
-        With ``stop_at`` set, pauses at the first *executed* cycle at
-        or beyond it (fast-forward jumps land on their natural targets
-        first, so pausing never perturbs the jump structure and the
-        resumed run stays byte-identical to an uninterrupted one).
-        """
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress; call start_run() first")
-        paused = (
-            None if stop_at is None
-            else (lambda: self._sched.now >= stop_at)
+    def _source_backlog(self) -> Tuple[int, int]:
+        return (
+            sum(s.backlog() for s in self.sources),
+            max((s.peak_backlog for s in self.sources), default=0),
         )
-        while program["stage"] < program["final"]:
-            stage = program["stage"]
-            end = program["bounds"][stage]
-            stop = self._stage_stop(program, stage, paused)
-            self._sched.run_until(end, stop=stop)
-            if self._stage_done(program, stage, end):
-                self._finish_stage(program, stage)
-            else:
-                return False  # paused mid-stage
-        return True
 
-    def _stage_stop(
-        self,
-        program: Dict[str, Any],
-        stage: int,
-        paused: Optional[Callable[[], bool]],
-    ) -> Optional[Callable[[], bool]]:
-        """Combined stop predicate for one program stage."""
-        inner = self._stage_predicate(program, stage)
-        if inner is None:
-            return paused
-        if paused is None:
-            return inner
-        return lambda: paused() or inner()
+    def _run_stats(self) -> RouterStats:
+        return self.router.stats
 
-    def _stage_predicate(
-        self, program: Dict[str, Any], stage: int
-    ) -> Optional[Callable[[], bool]]:
-        if program["kind"] == "workload":
-            return self._workload.done
-        if stage == 2:  # drain
-            return lambda: self._labeled_outstanding <= 0
-        return None
-
-    def _stage_done(
-        self, program: Dict[str, Any], stage: int, end: int
-    ) -> bool:
-        """Did the stage complete (vs. pausing for a checkpoint)?"""
-        if self._sched.now >= end:
-            return True
-        inner = self._stage_predicate(program, stage)
-        return inner is not None and inner()
-
-    def _finish_stage(self, program: Dict[str, Any], stage: int) -> None:
-        """Apply the flag flips at a completed stage boundary."""
-        program["stage"] = stage + 1
-        if program["kind"] != "measure":
-            return
-        if stage == 0:  # warm-up done: start labeling
-            self._measuring = True
-            self._count_flits = True
-            program["measure_start"] = self.cycle
-        elif stage == 1:  # measurement window closed
-            self._measuring = False
-            self._count_flits = False
-            program["measured_cycles"] = (
-                self.cycle - program["measure_start"]
-            )
-
-    def finish_run(self) -> RunResult:
-        """Summarize a completed program into a :class:`RunResult`."""
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress")
-        if program["stage"] < program["final"]:
-            raise RuntimeError("run has not completed; advance_run() first")
-        self._program = None
-        if program["kind"] == "workload":
-            return self._finish_workload(program)
-        undelivered = self._labeled_outstanding
-        delivered_fraction = (
-            1.0
-            if self._labeled_total == 0
-            else 1.0 - undelivered / self._labeled_total
-        )
-        saturated = delivered_fraction < program["min_drain_fraction"]
-        result = summarize(
-            offered_load=self.load,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=program["measured_cycles"],
-            num_ports=self.config.radix,
-            capacity=self.config.capacity_flits_per_cycle,
-            saturated=saturated,
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(undelivered)
-        self._fold_extras(result)
-        return result
-
-    def _finish_workload(self, program: Dict[str, Any]) -> RunResult:
-        workload = self._workload
-        self._count_flits = False
-        for latency in workload.message_latencies():
-            self.sample.add(latency)
-        result = summarize(
-            offered_load=0.0,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=max(1, self.cycle - program["run_start"]),
-            num_ports=self.config.radix,
-            capacity=self.config.capacity_flits_per_cycle,
-            saturated=not workload.done(),
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(workload.remaining)
-        self._fold_extras(result)
-        return result
-
-    def _fold_extras(self, result: RunResult) -> None:
-        """Fold shared observability extras into a run result."""
-        result.extra["source_backlog"] = float(
-            sum(s.backlog() for s in self.sources)
-        )
-        # Peak injection-queue depth across ports: how far the worst
-        # source queue got behind channel bandwidth.
-        result.extra["stats.traffic.max_source_queue"] = float(
-            max((s.peak_backlog for s in self.sources), default=0)
-        )
-        # Drive-loop observability: how much of the run fast-forward
-        # skipped (0 in cycle mode).  Deliberately excluded from
-        # mode-equivalence comparisons — they are the only legitimate
-        # difference between the two schedulers.
-        result.extra["stats.engine.cycles_skipped"] = float(
-            self._sched.cycles_skipped
-        )
-        result.extra["stats.engine.ff_jumps"] = float(self._sched.ff_jumps)
-        if self._tracer is not None:
-            if self._workload is not None:
-                self._workload.annotate(self._tracer)
-            self._tracer.fold_stats(self.router.stats)
-        if self._workload is not None:
-            self._workload.fold_stats(self.router.stats)
-        # Ad-hoc RouterStats.bump() counters ride along under a
-        # ``stats.`` prefix so they survive into reports and sweeps
-        # instead of being silently dropped with the router instance.
-        stats_extra = self.router.stats.extra
-        for name in sorted(stats_extra):
-            result.extra[f"stats.{name}"] = float(stats_extra[name])
-
-    def run_workload(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Run the attached workload DAG to completion; summarize.
-
-        The simulation advances until every workload message has been
-        delivered (or ``max_cycles`` elapse — the result is then marked
-        saturated and ``undelivered`` counts the stuck messages).  The
-        latency sample holds per-message send-to-ejection latencies
-        from the workload's own records; aggregate DAG metrics (flow
-        percentiles, per-phase step time and skew, makespan) land in
-        the ``stats.workload.*`` extras.
-        """
-        self.start_workload_run(max_cycles)
-        self.advance_run()
-        return self.finish_run()
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
+    def _sanitized(self) -> bool:
+        return self.router is not self._engine
 
     def snapshot(self) -> Dict[str, Any]:
         """Picklable capture of the whole simulation at a cycle boundary.
 
-        Every coupled piece — router, scheduler, sources, sample,
-        injector, tracer, the staged-run program, and the global
-        packet-id stream — is collected as live references and
-        deep-copied in one pass, so aliasing (e.g. the workload shared
-        by every source) survives into the capture.  Restore onto a
-        simulation constructed with identical parameters.
+        Restore onto a simulation constructed with identical
+        parameters (see :meth:`StagedRun.restore`).
         """
-        if self.router is not self._engine:
-            raise ValueError(
-                "cannot checkpoint a sanitized simulation; rerun the "
-                "sanitizer after restore instead"
-            )
         faults = self._faults
         if faults is not None:
             # Keep the captured credit pipes free of injector taps (the
@@ -647,95 +795,36 @@ class SwitchSimulation:
             # simulation, into the copied graph).
             faults.detach_credit_hooks()
         try:
-            bundle = {
+            return copy.deepcopy(self._snapshot_state({
                 "engine": self._engine._snapshot_state(),
-                "sched": self._sched.snapshot(),
-                "packet_ids": packet_id_state(),
-                "program": self._program,
-                "workload": self._workload,
                 "sources": [vars(src) for src in self.sources],
                 "harness": {
                     "next_inject": self._next_inject,
                     "packet_vc": self._packet_vc,
                     "vc_rr": self._vc_rr,
-                    "measuring": self._measuring,
                     "generating": self._generating,
-                    "labeled_outstanding": self._labeled_outstanding,
-                    "labeled_total": self._labeled_total,
-                    "sample": self.sample,
-                    "measured_flits": self.measured_flits,
-                    "count_flits": self._count_flits,
                     "delivered": self.delivered,
                 },
-                "faults": None if faults is None else faults.snapshot(),
-                "tracer": (
-                    None if self._tracer is None
-                    else dict(vars(self._tracer))
-                ),
-            }
-            return copy.deepcopy(bundle)
+            }))
         finally:
             if faults is not None:
                 faults.attach_credit_hooks()
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` capture onto this simulation.
-
-        The simulation must have been constructed with the same
-        parameters as the one captured (router organization, load,
-        pattern, seed, fault plan, tracer, scheduler mode); only
-        mutable state is replaced, in place, so scheduler registration
-        and hook subscriptions stay wired.
-        """
-        if self.router is not self._engine:
-            raise ValueError("cannot restore onto a sanitized simulation")
-        if (state["faults"] is None) != (self._faults is None):
-            raise ValueError(
-                "fault plan mismatch between snapshot and simulation"
-            )
-        if (state["tracer"] is None) != (self._tracer is None):
-            raise ValueError(
-                "tracer mismatch between snapshot and simulation"
-            )
+    def _restore_parts(self, state: Dict[str, Any]) -> None:
         if len(state["sources"]) != len(self.sources):
             raise ValueError(
                 f"snapshot captured {len(state['sources'])} sources, "
                 f"simulation has {len(self.sources)}"
             )
-        state = copy.deepcopy(state)
         self._engine._restore_state(state["engine"])
-        self._sched.restore(state["sched"])
-        set_packet_id_state(state["packet_ids"])
-        self._program = state["program"]
-        self._workload = state["workload"]
         for src, src_state in zip(self.sources, state["sources"]):
             vars(src).update(src_state)
         harness = state["harness"]
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
-        self._measuring = harness["measuring"]
         self._generating = harness["generating"]
-        self._labeled_outstanding = harness["labeled_outstanding"]
-        self._labeled_total = harness["labeled_total"]
-        self.sample = harness["sample"]
-        self.measured_flits = harness["measured_flits"]
-        self._count_flits = harness["count_flits"]
         self.delivered = harness["delivered"]
-        if self._faults is not None:
-            self._faults.restore(state["faults"])
-        if self._tracer is not None:
-            vars(self._tracer).clear()
-            vars(self._tracer).update(state["tracer"])
-
-    def save_checkpoint(self, path) -> None:
-        """Persist this simulation (state plus rebuild spec) to disk.
-
-        Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
-        """
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
 
 
 # ----------------------------------------------------------------------

@@ -66,14 +66,30 @@ def _run_point(args) -> RunResult:
 def _run_network_point(args) -> RunResult:
     """Worker: simulate one network load point (module-level so it
     pickles under the spawn start method)."""
-    config, load, topology, warmup, measure, drain, scheduler = args
+    config, load, topology, settings, scheduler = args
     # Imported lazily: the harness is importable without the network
     # stack and the child only pays for what it runs.
     from ..network.netsim import NetworkSimulation
 
     sim = NetworkSimulation(config, load, topology=topology,
                             scheduler=scheduler)
-    return sim.run(warmup=warmup, measure=measure, drain=drain)
+    return sim.run(settings)
+
+
+def _map_points(worker, jobs: list, processes: Optional[int]) -> list:
+    """``worker`` over ``jobs``, fanned over a process pool.
+
+    ``processes`` defaults to ``min(len(jobs), cpu_count)`` and must be
+    >= 1 when given.  With ``processes=1``, or a single job, the pool
+    is skipped entirely (useful under profilers and debuggers).
+    """
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    if processes == 1 or len(jobs) <= 1:
+        return [worker(job) for job in jobs]
+    workers = processes or min(len(jobs), multiprocessing.cpu_count())
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(worker, jobs)
 
 
 def run_network_sweep_parallel(
@@ -81,37 +97,20 @@ def run_network_sweep_parallel(
     loads: Sequence[float],
     label: str = "",
     topology=None,
-    warmup: int = 2000,
-    measure: int = 2000,
-    drain: int = 30000,
+    settings: Optional[SweepSettings] = None,
     scheduler: str = "cycle",
     processes: Optional[int] = None,
 ) -> SweepResult:
     """Parallel twin of :func:`repro.network.netsim.run_network_sweep`.
 
     Fans independent load points over a process pool (point-level
-    parallelism, like :func:`run_load_sweep_parallel`).  Results are
-    byte-identical to the serial sweep: each point re-derives every RNG
-    stream from the seed.
-
-    Args:
-        processes: Pool size; defaults to ``min(len(loads), cpu_count)``.
-            Must be >= 1 when given.  With ``processes=1`` the pool is
-            skipped entirely.
+    parallelism, like :func:`run_load_sweep_parallel`; ``processes`` as
+    there).  Results are byte-identical to the serial sweep: each point
+    re-derives every RNG stream from the seed.
     """
-    if processes is not None and processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    jobs = [
-        (config, load, topology, warmup, measure, drain, scheduler)
-        for load in loads
-    ]
-    if processes == 1 or len(jobs) <= 1:
-        results = [_run_network_point(job) for job in jobs]
-    else:
-        workers = processes or min(len(jobs), multiprocessing.cpu_count())
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_run_network_point, jobs)
-    return SweepResult(label=label or "network", results=list(results))
+    jobs = [(config, load, topology, settings, scheduler) for load in loads]
+    results = _map_points(_run_network_point, jobs, processes)
+    return SweepResult(label=label or "network", results=results)
 
 
 def run_load_sweep_parallel(
@@ -130,16 +129,8 @@ def run_load_sweep_parallel(
 ) -> SweepResult:
     """Parallel twin of :func:`run_load_sweep`.
 
-    Args:
-        processes: Pool size; defaults to ``min(len(loads), cpu_count)``.
-            Must be >= 1 when given (``processes=0`` used to fall back
-            to the default silently, masking caller bugs).  With
-            ``processes=1`` the pool is skipped entirely (useful under
-            profilers and debuggers).
+    ``processes`` is the pool size (see :func:`_map_points`).
     """
-    if processes is not None and processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    settings = settings or SweepSettings()
     jobs = [
         (
             make_router,
@@ -155,12 +146,7 @@ def run_load_sweep_parallel(
         )
         for load in loads
     ]
-    if processes == 1 or len(jobs) <= 1:
-        results = [_run_point(job) for job in jobs]
-    else:
-        workers = processes or min(len(jobs), multiprocessing.cpu_count())
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_run_point, jobs)
+    results = _map_points(_run_point, jobs, processes)
     if not label:
         label = getattr(make_router, "__name__", "sweep")
-    return SweepResult(label=label, results=list(results))
+    return SweepResult(label=label, results=results)

@@ -134,21 +134,6 @@ class RunResult:
         return (self.offered_load, self.avg_latency, self.throughput)
 
 
-def check_windows(warmup: int, measure: int, drain: int) -> None:
-    """Reject a measurement program that cannot be measured.
-
-    Shared by both harnesses: a negative warm-up or drain, or an empty
-    measurement window, would otherwise run and report a throughput
-    that looks measured but is not.
-    """
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if measure < 1:
-        raise ValueError(f"measure must be >= 1, got {measure}")
-    if drain < 0:
-        raise ValueError(f"drain must be >= 0, got {drain}")
-
-
 def summarize(
     offered_load: float,
     sample: LatencySample,

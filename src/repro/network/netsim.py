@@ -5,8 +5,9 @@ to any topology satisfying :class:`~repro.network.topology.Topology`
 (the folded Clos of Figure 19, the mesh of
 :mod:`repro.network.mesh`, ...), attaches hosts with Bernoulli traffic
 sources, routes packets with the topology's routing function, and
-measures packet latency from generation to tail arrival — the same
-warm-up / label / drain methodology as the switch-level harness.
+measures packet latency from generation to tail arrival, with the
+warm-up / label / drain program it shares with the switch-level harness
+(:class:`~repro.harness.experiment.StagedRun`).
 """
 
 from __future__ import annotations
@@ -15,15 +16,22 @@ import copy
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import invariant
-from ..core.flit import Flit, make_packet, packet_id_state, set_packet_id_state
+from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
-from ..harness.stats import LatencySample, RunResult, check_windows, summarize
+from ..harness.experiment import StagedRun, SweepResult, SweepSettings
+from ..routers.base import RouterStats
 from ..workloads.base import Message, Workload
-from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
+from .router import (
+    NetworkRouter,
+    NetworkRouterConfig,
+    OutputLink,
+    check_delays,
+    pipeline_depth_for_radix,
+)
 from .topology import FoldedClos, SwitchId, Topology
 
 try:  # Optional: bulk arrival pre-drawing (event mode fast path).
@@ -52,6 +60,7 @@ class NetworkConfig:
             raise ValueError(
                 f"packet_size must be >= 1, got {self.packet_size}"
             )
+        check_delays(self)
 
     def router_config(self, num_ports: int) -> NetworkRouterConfig:
         depth = (
@@ -123,8 +132,13 @@ class _CreditSink:
         self.link.restore_credit(vc)
 
 
-class NetworkSimulation:
+class NetworkSimulation(StagedRun):
     """End-to-end simulation of a network of routers on any topology."""
+
+    #: Measured network runs leave out ``extra["undelivered"]``: the
+    #: benchmark digests (``perfbench/points.py``) include that key
+    #: whenever present, and the recorded Clos references predate it.
+    REPORT_UNDELIVERED = False
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``topology``/
@@ -197,6 +211,7 @@ class NetworkSimulation:
         """
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
+        super().__init__()
         self.config = config
         self.load = load
         self.topology = topology or FoldedClos(config.radix, config.levels)
@@ -223,7 +238,7 @@ class NetworkSimulation:
         #: span the whole router set.  Instrumentation (sanitizer,
         #: metrics, tracing) attaches here.
         self.hooks = EngineHooks()
-        self._scheduler = make_scheduler(
+        self._sched = make_scheduler(
             scheduler,
             self.routers.values(),
             hooks=self.hooks,
@@ -233,8 +248,8 @@ class NetworkSimulation:
         # Inverted drive loop: the scheduler owns the per-cycle phase
         # sequence; this harness contributes its pre-engine work and
         # (in event mode) its wake horizons.
-        self._scheduler.add_pre_cycle(self._pre_cycle)
-        self._scheduler.add_wake_source(self._next_work)
+        self._sched.add_pre_cycle(self._pre_cycle)
+        self._sched.add_wake_source(self._next_work)
         self._tracer = tracer
         self._trace_switch: Optional[SwitchId] = None
         if tracer is not None:
@@ -261,17 +276,8 @@ class NetworkSimulation:
         self._next_inject = [0] * n
         self._packet_vc: List[Optional[int]] = [None] * n
         self._vc_rr = [0] * n
-        self._measuring = False
-        self._count_flits = False
-        self._outstanding = 0
-        self._labeled_total = 0
         #: Peak per-host injection-queue depth (flits) ever observed.
         self._peak_source_q = 0
-        self.sample = LatencySample()
-        self.measured_flits = 0
-        #: Active staged run program (see :meth:`start_run`): plain
-        #: data, so a snapshot taken mid-run carries it along.
-        self._program: Optional[Dict[str, Any]] = None
         # Global in-flight flit event queue: (arrival, seq, flit, target).
         self._inflight: List[Tuple[int, int, Flit, object]] = []
         self._seq = itertools.count()
@@ -355,19 +361,20 @@ class NetworkSimulation:
     # Simulation loop
     # ------------------------------------------------------------------
 
-    @property
-    def cycle(self) -> int:
-        """Current simulation cycle (owned by the drive loop)."""
-        return self._scheduler.now
+    def run_until(
+        self, end: int, stop: Optional[Callable[[], bool]] = None
+    ) -> int:
+        """Advance through cycles ``[cycle, end)``, or until ``stop()``.
 
-    def step(self) -> None:
-        """Advance exactly one simulation cycle."""
-        self.run_until(self._scheduler.now + 1)
-
-    def run_until(self, end: int) -> int:
-        """Advance the simulation through cycles ``[cycle, end)``."""
+        Grows the event-mode arrival pre-draw window to ``end`` first.
+        """
         self._extend_draws(end)
-        return self._scheduler.run_until(end)
+        return self._sched.run_until(end, stop=stop)
+
+    # Bound in this class body, not only inherited, because the
+    # benchmark's layer trace (perfbench/layers.py) wraps
+    # ``NetworkSimulation.advance_run`` by name.
+    advance_run = StagedRun.advance_run
 
     def _extend_draws(self, end: int) -> None:
         """Grow the arrival pre-draw window to cover ``[0, end)``.
@@ -453,7 +460,7 @@ class NetworkSimulation:
             _, _, flit, target = heapq.heappop(self._inflight)
             if isinstance(target, tuple):
                 router, port = target
-                self._scheduler.wake(router, now)
+                self._sched.wake(router, now)
                 router.accept(port, flit)
             else:
                 # Host ejection.
@@ -461,7 +468,7 @@ class NetworkSimulation:
                     self.measured_flits += 1
                 if flit.is_tail and flit.measured:
                     self.sample.add(now - flit.created_at)
-                    self._outstanding -= 1
+                    self._labeled_outstanding -= 1
                 if flit.is_tail and self._workload is not None:
                     # Delivery unlocks the DAG successors; their hosts
                     # wake via the next_ready() horizon.
@@ -655,7 +662,7 @@ class NetworkSimulation:
             self._peak_source_q = len(self._source_q[host])
         self._backlog_hosts.add(host)
         if self._measuring and message is None:
-            self._outstanding += 1
+            self._labeled_outstanding += 1
             self._labeled_total += 1
 
     def _inject(self, now: int) -> None:
@@ -708,7 +715,7 @@ class NetworkSimulation:
         self._source_q[host].pop(0)
         if not self._source_q[host]:
             self._backlog_hosts.discard(host)
-        self._scheduler.wake(router, now)
+        self._sched.wake(router, now)
         router.accept(attach.port, flit)
         self._next_inject[host] = now + self.config.flit_cycles
         if flit.is_tail:
@@ -724,228 +731,29 @@ class NetworkSimulation:
         return None
 
     # ------------------------------------------------------------------
-    # Measurement
+    # StagedRun hooks
     # ------------------------------------------------------------------
 
-    def run(
-        self, warmup: int = 2000, measure: int = 2000, drain: int = 30000
-    ) -> RunResult:
-        self.start_run(warmup=warmup, measure=measure, drain=drain)
-        self.advance_run()
-        return self.finish_run()
+    def _num_ports(self) -> int:
+        return self.topology.num_hosts
 
-    def run_workload(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Run the attached workload DAG to completion; summarize.
+    def _capacity(self) -> float:
+        return 1.0 / self.config.flit_cycles
 
-        Advances until every workload message has been delivered or
-        ``max_cycles`` elapse (the result is then marked saturated and
-        ``undelivered`` counts the stuck messages).  The latency
-        sample holds per-message send-to-delivery latencies from the
-        workload's own records; aggregate DAG metrics (makespan, flow
-        percentiles, per-phase step time and skew) land in the
-        ``stats.workload.*`` extras.
-        """
-        self.start_workload_run(max_cycles)
-        self.advance_run()
-        return self.finish_run()
+    def _source_backlog(self) -> Tuple[int, int]:
+        return sum(len(q) for q in self._source_q), self._peak_source_q
 
-    def start_run(
-        self, warmup: int = 2000, measure: int = 2000, drain: int = 30000
-    ) -> None:
-        """Begin the warm-up/measure/drain program without running it.
-
-        The program is plain data (absolute stage boundaries plus
-        bookkeeping), so a snapshot taken between :meth:`advance_run`
-        calls resumes mid-run byte-identically.
-        """
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        check_windows(warmup, measure, drain)
-        start = self.cycle
-        warm_end = start + warmup
-        measure_end = warm_end + measure
-        self._program = {
-            "kind": "measure",
-            "stage": 0,
-            "final": 3,
-            "bounds": [warm_end, measure_end, measure_end + drain],
-            "measure_start": 0,
-            "measured_cycles": 0,
-        }
-
-    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
-        """Begin the workload-DAG program without running it."""
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        if self._workload is None:
-            raise ValueError(
-                "run_workload() needs a NetworkSimulation(workload=...)"
-            )
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        self._count_flits = True
-        self._program = {
-            "kind": "workload",
-            "stage": 0,
-            "final": 1,
-            "bounds": [self.cycle + max_cycles],
-            "run_start": self.cycle,
-        }
-
-    def advance_run(self, stop_at: Optional[int] = None) -> bool:
-        """Advance the active program; True once it has completed.
-
-        With ``stop_at`` set, pauses at the first *executed* cycle at
-        or beyond it (fast-forward jumps land on their natural targets
-        first, so pausing never perturbs the jump structure and the
-        resumed run stays byte-identical to an uninterrupted one).
-        """
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress; call start_run() first")
-        paused = (
-            None if stop_at is None
-            else (lambda: self._scheduler.now >= stop_at)
-        )
-        while program["stage"] < program["final"]:
-            stage = program["stage"]
-            end = program["bounds"][stage]
-            stop = self._stage_stop(program, stage, paused)
-            self._extend_draws(end)
-            self._scheduler.run_until(end, stop=stop)
-            if self._stage_done(program, stage, end):
-                self._finish_stage(program, stage)
-            else:
-                return False  # paused mid-stage
-        return True
-
-    def _stage_stop(
-        self,
-        program: Dict[str, Any],
-        stage: int,
-        paused: Optional[Callable[[], bool]],
-    ) -> Optional[Callable[[], bool]]:
-        """Combined stop predicate for one program stage."""
-        inner = self._stage_predicate(program, stage)
-        if inner is None:
-            return paused
-        if paused is None:
-            return inner
-        return lambda: paused() or inner()
-
-    def _stage_predicate(
-        self, program: Dict[str, Any], stage: int
-    ) -> Optional[Callable[[], bool]]:
-        if program["kind"] == "workload":
-            return self._workload.done
-        if stage == 2:  # drain
-            return lambda: self._outstanding <= 0
-        return None
-
-    def _stage_done(
-        self, program: Dict[str, Any], stage: int, end: int
-    ) -> bool:
-        """Did the stage complete (vs. pausing for a checkpoint)?"""
-        if self._scheduler.now >= end:
-            return True
-        inner = self._stage_predicate(program, stage)
-        return inner is not None and inner()
-
-    def _finish_stage(self, program: Dict[str, Any], stage: int) -> None:
-        """Apply the flag flips at a completed stage boundary."""
-        program["stage"] = stage + 1
-        if program["kind"] != "measure":
-            return
-        if stage == 0:  # warm-up done: start labeling
-            self._measuring = True
-            self._count_flits = True
-            program["measure_start"] = self.cycle
-        elif stage == 1:  # measurement done
-            self._measuring = False
-            self._count_flits = False
-            program["measured_cycles"] = self.cycle - program["measure_start"]
-
-    def finish_run(self) -> RunResult:
-        """Summarize a completed program into a :class:`RunResult`."""
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress")
-        if program["stage"] < program["final"]:
-            raise RuntimeError("run has not completed; advance_run() first")
-        self._program = None
-        if program["kind"] == "workload":
-            return self._finish_workload(program)
-        frac = (
-            1.0
-            if self._labeled_total == 0
-            else 1.0 - self._outstanding / self._labeled_total
-        )
-        result = summarize(
-            offered_load=self.load,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=program["measured_cycles"],
-            num_ports=self.topology.num_hosts,
-            capacity=1.0 / self.config.flit_cycles,
-            saturated=frac < 0.999,
-            cycles=self.cycle,
-        )
-        self._fold_extras(result)
-        return result
-
-    def _finish_workload(self, program: Dict[str, Any]) -> RunResult:
-        workload = self._workload
-        self._count_flits = False
-        for latency in workload.message_latencies():
-            self.sample.add(latency)
-        result = summarize(
-            offered_load=0.0,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=max(1, self.cycle - program["run_start"]),
-            num_ports=self.topology.num_hosts,
-            capacity=1.0 / self.config.flit_cycles,
-            saturated=not workload.done(),
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(workload.remaining)
-        result.extra["source_backlog"] = float(
-            sum(len(q) for q in self._source_q)
-        )
-        self._fold_extras(result, workload_stats=True)
-        return result
-
-    def _fold_extras(
-        self, result: RunResult, workload_stats: bool = False
-    ) -> None:
-        """Fold shared observability extras into a run result."""
-        result.extra["stats.engine.cycles_skipped"] = float(
-            self._scheduler.cycles_skipped
-        )
-        result.extra["stats.engine.ff_jumps"] = float(
-            self._scheduler.ff_jumps
-        )
-        result.extra["stats.traffic.max_source_queue"] = float(
-            self._peak_source_q
-        )
-        if workload_stats:
-            for name, value in sorted(self._workload.stats().items()):
-                result.extra[f"stats.{name}"] = float(value)
+    def _run_stats(self) -> RouterStats:
+        """Scratch stats for the run's extras (network routers keep no
+        :class:`RouterStats`), seeded with the fault counters."""
+        stats = RouterStats()
         if self._faults is not None:
-            for name, value in sorted(self._faults.counters.items()):
-                result.extra[f"stats.{name}"] = float(value)
-        if self._tracer is not None:
-            # Aggregate trace counters ride along like the switch-level
-            # harness does: folded through a scratch RouterStats so the
-            # collector's integer-counter convention applies unchanged.
-            from ..routers.base import RouterStats
+            for name, value in self._faults.counters.items():
+                stats.bump(name, value)
+        return stats
 
-            scratch = RouterStats()
-            if self._workload is not None:
-                self._workload.annotate(self._tracer)
-            self._tracer.fold_stats(scratch)
-            for name in sorted(scratch.extra):
-                result.extra[f"stats.{name}"] = float(scratch.extra[name])
+    def _sanitized(self) -> bool:
+        return self._sanitizer is not None
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -954,18 +762,13 @@ class NetworkSimulation:
     def snapshot(self) -> Dict[str, Any]:
         """Deep-copied picklable capture of the full simulation state.
 
-        Captures the routers, the drive loop, every RNG stream, the
-        in-flight flit queue, the host-side injection machinery, the
-        staged run program, the workload, the fault injector, and the
-        trace collector.  Restoring the capture onto a freshly built
-        twin (same constructor arguments) resumes byte-identically;
-        see :mod:`repro.harness.checkpoint` for the on-disk format.
+        Captures the routers, every RNG stream, the in-flight flit
+        queue and the host-side injection machinery, plus the state
+        every harness shares (see :meth:`StagedRun._snapshot_state`).
+        Restoring the capture onto a freshly built twin (same
+        constructor arguments) resumes byte-identically; see
+        :mod:`repro.harness.checkpoint` for the on-disk format.
         """
-        if self._sanitizer is not None:
-            raise ValueError(
-                "cannot checkpoint a sanitized simulation; rerun the "
-                "sanitizer after restore instead"
-            )
         switch_of = {id(r): sid for sid, r in self.routers.items()}
         inflight = []
         for arrival, seq, flit, target in sorted(
@@ -977,12 +780,10 @@ class NetworkSimulation:
             else:
                 encoded = ("h", target)
             inflight.append((arrival, seq, flit, encoded))
-        bundle: Dict[str, Any] = {
+        return copy.deepcopy(self._snapshot_state({
             "routers": [
                 router._snapshot_state() for router in self.routers.values()
             ],
-            "sched": self._scheduler.snapshot(),
-            "packet_ids": packet_id_state(),
             "seq": next(copy.copy(self._seq)),
             "inflight": inflight,
             "harness": {
@@ -991,13 +792,7 @@ class NetworkSimulation:
                 "next_inject": self._next_inject,
                 "packet_vc": self._packet_vc,
                 "vc_rr": self._vc_rr,
-                "measuring": self._measuring,
-                "count_flits": self._count_flits,
-                "outstanding": self._outstanding,
-                "labeled_total": self._labeled_total,
                 "peak_source_q": self._peak_source_q,
-                "sample": self.sample,
-                "measured_flits": self.measured_flits,
             },
             "rngs": [rng.getstate() for rng in self._rngs],
             "route_rng": self._route_rng.getstate(),
@@ -1012,26 +807,9 @@ class NetworkSimulation:
                 "undrawn": sorted(self._undrawn),
                 "sync_cursor": self._sync_cursor,
             },
-            "program": self._program,
-            "workload": self._workload,
-            "faults": (
-                None if self._faults is None else self._faults.snapshot()
-            ),
-            "tracer": (
-                None if self._tracer is None else dict(vars(self._tracer))
-            ),
-        }
-        return copy.deepcopy(bundle)
+        }))
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` onto this simulation in place.
-
-        The simulation must have been built with the same constructor
-        arguments as the one the snapshot came from (same topology,
-        scheduler mode, fault plan, workload and tracer presence).
-        """
-        if self._sanitizer is not None:
-            raise ValueError("cannot restore onto a sanitized simulation")
+    def _restore_parts(self, state: Dict[str, Any]) -> None:
         if len(state["routers"]) != len(self.routers):
             raise ValueError(
                 f"snapshot captured {len(state['routers'])} routers, "
@@ -1041,28 +819,13 @@ class NetworkSimulation:
             raise ValueError(
                 "scheduler mode mismatch between snapshot and simulation"
             )
-        if (state["faults"] is None) != (self._faults is None):
-            raise ValueError(
-                "fault plan mismatch between snapshot and simulation"
-            )
-        if (state["workload"] is None) != (self._workload is None):
-            raise ValueError(
-                "workload mismatch between snapshot and simulation"
-            )
-        if (state["tracer"] is None) != (self._tracer is None):
-            raise ValueError(
-                "tracer mismatch between snapshot and simulation"
-            )
         if len(state["rngs"]) != len(self._rngs):
             raise ValueError(
                 f"snapshot captured {len(state['rngs'])} hosts, "
                 f"simulation has {len(self._rngs)}"
             )
-        state = copy.deepcopy(state)
         for router, captured in zip(self.routers.values(), state["routers"]):
             router._restore_state(captured)
-        self._scheduler.restore(state["sched"])
-        set_packet_id_state(state["packet_ids"])
         self._seq = itertools.count(state["seq"])
         inflight: List[Tuple[int, int, Flit, object]] = []
         for arrival, seq, flit, encoded in state["inflight"]:
@@ -1079,13 +842,7 @@ class NetworkSimulation:
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
-        self._measuring = harness["measuring"]
-        self._count_flits = harness["count_flits"]
-        self._outstanding = harness["outstanding"]
-        self._labeled_total = harness["labeled_total"]
         self._peak_source_q = harness["peak_source_q"]
-        self.sample = harness["sample"]
-        self.measured_flits = harness["measured_flits"]
         for rng, captured in zip(self._rngs, state["rngs"]):
             rng.setstate(captured)
         self._route_rng.setstate(state["route_rng"])
@@ -1107,69 +864,30 @@ class NetworkSimulation:
                 if gap:
                     stream.random_sample(gap)
                 self._np_streams[host] = stream
-        self._program = state["program"]
-        self._workload = state["workload"]
-        if self._faults is not None:
-            # After the routers: lost-credit sinks resolve through the
-            # (identity-preserved) credit_sinks wiring.
-            self._faults.restore(state["faults"])
-        if self._tracer is not None:
-            vars(self._tracer).clear()
-            vars(self._tracer).update(state["tracer"])
-
-    def save_checkpoint(self, path) -> None:
-        """Persist this simulation (state plus rebuild spec) to disk.
-
-        Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
-        """
-        from ..harness.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
 
 
-class ClosNetworkSimulation(NetworkSimulation):
-    """Figure 19's configuration: a folded Clos built from ``config``."""
-
-    def __init__(
-        self,
-        config: NetworkConfig,
-        load: float = 0.0,
-        sanitize: bool = False,
-        active_set: bool = True,
-        faults: Optional[object] = None,
-        scheduler: str = "cycle",
-        workload: Optional[Workload] = None,
-        tracer=None,
-        trace_switch: Optional[SwitchId] = None,
-    ) -> None:
-        super().__init__(config, load, sanitize=sanitize,
-                         active_set=active_set, faults=faults,
-                         scheduler=scheduler, workload=workload,
-                         tracer=tracer, trace_switch=trace_switch)
+#: Figure 19's configuration is the default topology (a folded Clos
+#: built from ``config``), so the name is kept as an alias.
+ClosNetworkSimulation = NetworkSimulation
 
 
 def run_network_sweep(
     config: NetworkConfig,
-    loads,
+    loads: Sequence[float],
     label: str = "",
-    topology=None,
-    warmup: int = 2000,
-    measure: int = 2000,
-    drain: int = 30000,
+    topology: Optional[Topology] = None,
+    settings: Optional[SweepSettings] = None,
     scheduler: str = "cycle",
-):
+) -> SweepResult:
     """Load-latency curve over a network (the Figure 19 sweep).
 
     Returns a :class:`~repro.harness.experiment.SweepResult`, so the
     same reporting and plotting helpers apply to network curves as to
     single-router curves.
     """
-    from ..harness.experiment import SweepResult
-
     sweep = SweepResult(label=label or "network")
     for load in loads:
         sim = NetworkSimulation(config, load, topology=topology,
                                 scheduler=scheduler)
-        sweep.results.append(sim.run(warmup=warmup, measure=measure,
-                                     drain=drain))
+        sweep.results.append(sim.run(settings))
     return sweep

@@ -67,6 +67,20 @@ class NetworkRouterConfig:
             raise ValueError(
                 f"flit_cycles must be >= 1, got {self.flit_cycles}"
             )
+        check_delays(self)
+
+
+def check_delays(config) -> None:
+    """Reject a negative ``pipeline_delay``, ``channel_latency`` or
+    ``credit_latency`` on a router or network config.
+
+    A negative delay would otherwise run and report latencies below
+    what the network can deliver, or fail deep in a delay line.
+    """
+    for name in ("pipeline_delay", "channel_latency", "credit_latency"):
+        value = getattr(config, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def pipeline_depth_for_radix(radix: int, base: int = 2) -> int:

@@ -107,6 +107,13 @@ class BufferedCrossbarRouter(Router):
             ]
             self._credit_buses: Optional[List[CreditReturnBus]] = None
         else:
+            if config.credit_latency < 1:
+                # The shared bus needs a cycle to arbitrate; only the
+                # ideal (dedicated-wire) return can take zero.
+                raise ValueError(
+                    "credit_latency must be >= 1 on the shared credit "
+                    f"return bus, got {config.credit_latency}"
+                )
             self._credit_pipes = None
             self._credit_buses = [
                 CreditReturnBus(k, config.credit_latency) for _ in range(k)

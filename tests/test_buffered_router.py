@@ -1,5 +1,7 @@
 """Behavioral tests for the fully buffered crossbar (Section 5)."""
 
+import pytest
+
 from repro.core.config import RouterConfig
 from repro.core.flit import make_packet
 from repro.harness.experiment import SwitchSimulation, SweepSettings
@@ -113,3 +115,12 @@ class TestBufferSizeEffect:
             load=1.0, packet_size=10,
         ).run(FAST)
         assert large.throughput > small.throughput
+
+
+def test_shared_credit_bus_needs_a_cycle():
+    """``credit_latency=0`` used to fail inside the credit bus with a
+    message that did not name the field; the ideal return allows it."""
+    config = RouterConfig(radix=8, subswitch_size=4, credit_latency=0)
+    with pytest.raises(ValueError, match="credit_latency"):
+        BufferedCrossbarRouter(config)
+    BufferedCrossbarRouter(config.with_(ideal_credit_return=True))

@@ -79,3 +79,10 @@ class TestWith:
         cfg = RouterConfig()
         with pytest.raises(Exception):
             cfg.radix = 16  # type: ignore[misc]  # lint: disable=R003
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_rejects_non_positive_subswitch_size(size):
+    """``subswitch_size=0`` used to surface as a ZeroDivisionError."""
+    with pytest.raises(ValueError, match="subswitch_size"):
+        RouterConfig(radix=8, subswitch_size=size)

@@ -5,6 +5,7 @@ import random  # lint: disable=R001 (tests build local seeded streams)
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness.experiment import SweepSettings
 from repro.network.mesh import Mesh
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.traffic.patterns import Permutation
@@ -136,10 +137,10 @@ class TestMeshSimulation:
     def test_latency_grows_with_mesh_size(self):
         small = NetworkSimulation(
             self.CFG, load=0.1, topology=Mesh((2, 2))
-        ).run(200, 300, 2000)
+        ).run(SweepSettings(200, 300, 2000))
         large = NetworkSimulation(
             self.CFG, load=0.1, topology=Mesh((5, 5))
-        ).run(200, 300, 3000)
+        ).run(SweepSettings(200, 300, 3000))
         assert large.avg_latency > small.avg_latency
 
     def test_host_pattern_override(self):
@@ -162,8 +163,8 @@ class TestMeshSimulation:
         assert clos.num_hosts == mesh.num_hosts
         r_clos = NetworkSimulation(
             NetworkConfig(radix=8, num_vcs=2), load=0.1, topology=clos
-        ).run(300, 400, 3000)
+        ).run(SweepSettings(300, 400, 3000))
         r_mesh = NetworkSimulation(
             NetworkConfig(radix=4, num_vcs=2), load=0.1, topology=mesh
-        ).run(300, 400, 3000)
+        ).run(SweepSettings(300, 400, 3000))
         assert r_clos.avg_latency < r_mesh.avg_latency

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.experiment import SweepSettings
 from repro.network.netsim import (
     ClosNetworkSimulation,
     NetworkConfig,
@@ -45,7 +46,7 @@ class TestFlowControlIntegrity:
         sim = ClosNetworkSimulation(cfg, load=0.4)
         r = sim.run(warmup=300, measure=400, drain=8000)
         assert not r.saturated
-        assert sim._outstanding == 0
+        assert sim._labeled_outstanding == 0
 
 
 class TestTopologyAgnosticism:
@@ -86,14 +87,14 @@ class TestChannelTiming:
     def test_channel_latency_adds_up(self):
         slow = NetworkConfig(radix=8, levels=2, channel_latency=10)
         fast = NetworkConfig(radix=8, levels=2, channel_latency=1)
-        r_slow = ClosNetworkSimulation(slow, 0.05).run(100, 400, 4000)
-        r_fast = ClosNetworkSimulation(fast, 0.05).run(100, 400, 4000)
+        r_slow = ClosNetworkSimulation(slow, 0.05).run(SweepSettings(100, 400, 4000))
+        r_fast = ClosNetworkSimulation(fast, 0.05).run(SweepSettings(100, 400, 4000))
         # Average ~2.5 hops: expect roughly 9 * 2.5 extra cycles.
         assert r_slow.avg_latency - r_fast.avg_latency > 10
 
     def test_pipeline_depth_increases_latency(self):
         shallow = NetworkConfig(radix=8, levels=2, pipeline_delay=1)
         deep = NetworkConfig(radix=8, levels=2, pipeline_delay=8)
-        r_sh = ClosNetworkSimulation(shallow, 0.05).run(100, 400, 4000)
-        r_dp = ClosNetworkSimulation(deep, 0.05).run(100, 400, 4000)
+        r_sh = ClosNetworkSimulation(shallow, 0.05).run(SweepSettings(100, 400, 4000))
+        r_dp = ClosNetworkSimulation(deep, 0.05).run(SweepSettings(100, 400, 4000))
         assert r_dp.avg_latency > r_sh.avg_latency + 5

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.flit import make_packet
+from repro.harness.experiment import SweepSettings
 from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
 from repro.network.router import (
     NetworkRouter,
@@ -121,23 +122,23 @@ class TestClosNetworkSimulation:
         assert r.throughput == pytest.approx(0.4, abs=0.08)
 
     def test_latency_grows_with_load(self):
-        lo = ClosNetworkSimulation(self.CFG, load=0.1).run(200, 300, 2000)
-        hi = ClosNetworkSimulation(self.CFG, load=0.7).run(300, 500, 4000)
+        lo = ClosNetworkSimulation(self.CFG, load=0.1).run(SweepSettings(200, 300, 2000))
+        hi = ClosNetworkSimulation(self.CFG, load=0.7).run(SweepSettings(300, 500, 4000))
         assert hi.avg_latency > lo.avg_latency
 
     def test_high_radix_lower_zero_load_latency(self):
         """Figure 19: the high-radix network wins at zero load."""
         high = ClosNetworkSimulation(
             NetworkConfig(radix=16, levels=2), load=0.05
-        ).run(200, 400, 2000)
+        ).run(SweepSettings(200, 400, 2000))
         low = ClosNetworkSimulation(
             NetworkConfig(radix=8, levels=3), load=0.05
-        ).run(200, 400, 2000)
+        ).run(SweepSettings(200, 400, 2000))
         assert high.avg_latency < low.avg_latency
 
     def test_deterministic(self):
-        a = ClosNetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
-        b = ClosNetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
+        a = ClosNetworkSimulation(self.CFG, load=0.3).run(SweepSettings(200, 300, 2000))
+        b = ClosNetworkSimulation(self.CFG, load=0.3).run(SweepSettings(200, 300, 2000))
         assert a.avg_latency == b.avg_latency
         assert a.throughput == b.throughput
 
@@ -158,12 +159,29 @@ class TestClosNetworkSimulation:
     def test_rejects_unmeasurable_windows(self, windows, name):
         sim = ClosNetworkSimulation(self.CFG, load=0.3)
         with pytest.raises(ValueError, match=name):
-            sim.start_run(*windows)
+            sim.start_run(SweepSettings(*windows))
         # Nothing was started, so a valid program can still begin.
-        sim.start_run(0, 1, 0)
+        sim.start_run(SweepSettings(0, 1, 0))
 
     def test_multi_flit_packets(self):
         cfg = NetworkConfig(radix=8, levels=2, packet_size=4)
         sim = ClosNetworkSimulation(cfg, load=0.3)
         r = sim.run(warmup=300, measure=400, drain=3000)
         assert r.packets_measured > 0
+
+
+class TestDelayValidation:
+    """Negative delays used to run (``pipeline_delay=-5`` reported a
+    2.2-cycle mean latency on a radix-4 Clos where the default delay
+    gives 14.4) or fail deep in a delay line without naming the field."""
+
+    @pytest.mark.parametrize(
+        "field", ["pipeline_delay", "channel_latency", "credit_latency"]
+    )
+    def test_negative_delay_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(radix=4, levels=2, **{field: -1})
+        with pytest.raises(ValueError, match=field):
+            NetworkRouterConfig(num_ports=4, **{field: -1})
+        # Zero is a valid delay.
+        NetworkConfig(radix=4, levels=2, **{field: 0})

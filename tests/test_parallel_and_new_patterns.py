@@ -95,14 +95,14 @@ class TestParallelSweep:
 
 class TestParallelNetworkSweep:
     CFG = NetworkConfig(radix=4, levels=2, num_vcs=2, buffer_depth=4)
-    WINDOWS = dict(warmup=50, measure=100, drain=1000)
+    WINDOWS = SweepSettings(warmup=50, measure=100, drain=1000)
 
     def test_pool_matches_serial_sweep(self):
         """Point-level pool: every point re-derives its RNG streams
         from the seed, so results equal the serial sweep exactly."""
-        serial = run_network_sweep(self.CFG, LOADS, **self.WINDOWS)
+        serial = run_network_sweep(self.CFG, LOADS, settings=self.WINDOWS)
         pooled = run_network_sweep_parallel(self.CFG, LOADS, processes=2,
-                                            **self.WINDOWS)
+                                            settings=self.WINDOWS)
         assert [r.__dict__ for r in pooled.results] == [
             r.__dict__ for r in serial.results
         ]

@@ -249,3 +249,30 @@ def test_network_sanitizer_detects_buffer_overflow():
     with pytest.raises(InvariantViolation) as exc:
         sim._sanitizer.check_now(sim.cycle)
     assert exc.value.check == "buffer-bounds"
+
+
+def test_head_ejected_before_tail_accepted_is_live():
+    """A fast router can eject a head flit before the input buffer has
+    room for its tail; the packet still owns its output VC and must not
+    be reported as stale (the check used to count flits inside)."""
+    config = RouterConfig(
+        radix=4, num_vcs=1, flit_cycles=1, input_buffer_depth=1,
+        crosspoint_buffer_depth=1, subswitch_size=2, local_group_size=1,
+        sa_latency=0, route_latency=0, credit_latency=1,
+    )
+    sim = SwitchSimulation(SharedBufferCrossbarRouter(config), load=0.5,
+                           packet_size=2, sanitize=True, seed=3)
+    result = sim.run(SweepSettings(warmup=0, measure=200, drain=2000))
+    assert result.packets_measured > 0
+
+
+def test_detects_ownership_by_finished_packet():
+    sim = SwitchSimulation(_small_router(), load=0.3, sanitize=True,
+                           record_delivered=True, seed=3)
+    for _ in range(60):
+        sim.step()
+    finished = next(f for f, _ in sim.delivered if f.is_tail)
+    sim.router.inner.output_vcs[2].allocate(1, finished.packet_id)
+    with pytest.raises(InvariantViolation) as exc:
+        sim.router.check_now()
+    assert exc.value.check == "vc-ownership"

@@ -115,7 +115,7 @@ class TestNetworkSweep:
             NetworkConfig(radix=8, levels=2, num_vcs=2),
             loads=[0.1, 0.5],
             label="clos",
-            warmup=300, measure=400, drain=3000,
+            settings=SweepSettings(warmup=300, measure=400, drain=3000),
         )
         assert sweep.label == "clos"
         assert len(sweep.results) == 2
@@ -124,7 +124,7 @@ class TestNetworkSweep:
     def test_default_label(self):
         sweep = run_network_sweep(
             NetworkConfig(radix=8, levels=2), loads=[0.1],
-            warmup=200, measure=300, drain=2000,
+            settings=SweepSettings(warmup=200, measure=300, drain=2000),
         )
         assert sweep.label == "network"
 
@@ -134,6 +134,6 @@ class TestNetworkSweep:
         sweep = run_network_sweep(
             NetworkConfig(radix=6, num_vcs=2), loads=[0.2],
             topology=Mesh((3, 3)),
-            warmup=200, measure=300, drain=3000,
+            settings=SweepSettings(warmup=200, measure=300, drain=3000),
         )
         assert sweep.results[0].packets_measured > 0
