@@ -125,12 +125,15 @@ class RouterConfig:
                 f"vc_allocator must be one of {VALID_VC_ALLOCATORS}, got "
                 f"{self.vc_allocator!r}"
             )
-        if self.sa_latency < 0:
-            raise ValueError(f"sa_latency must be >= 0, got {self.sa_latency}")
-        if self.credit_latency < 0:
-            raise ValueError(
-                f"credit_latency must be >= 0, got {self.credit_latency}"
-            )
+        # A negative delay would grant or forward before the request.
+        for name in (
+            "sa_latency", "ova_extra_latency", "route_latency",
+            "credit_latency", "subswitch_input_depth",
+            "subswitch_output_depth",
+        ):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def num_subswitches_per_side(self) -> int:

@@ -35,9 +35,12 @@ def _default_pattern(config: RouterConfig) -> TrafficPattern:
     return UniformRandom(config.radix)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSettings:
-    """Timing parameters of a measurement run (in cycles)."""
+    """Timing parameters of a measurement run (in cycles).
+
+    Frozen, so the checks below hold for every run that takes it.
+    """
 
     warmup: int = 2000
     measure: int = 2000

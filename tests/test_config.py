@@ -86,3 +86,17 @@ def test_rejects_non_positive_subswitch_size(size):
     """``subswitch_size=0`` used to surface as a ZeroDivisionError."""
     with pytest.raises(ValueError, match="subswitch_size"):
         RouterConfig(radix=8, subswitch_size=size)
+
+
+@pytest.mark.parametrize("field", [
+    "ova_extra_latency",
+    "route_latency",
+    "subswitch_input_depth",
+    "subswitch_output_depth",
+])
+def test_rejects_negative_delays_and_depths(field):
+    """These were not checked: ``ova_extra_latency=-2`` with
+    ``vc_allocator="ova"`` scheduled switch traversal before the grant
+    cycle, and a negative subswitch depth was taken as the depth."""
+    with pytest.raises(ValueError, match=field):
+        RouterConfig(**{field: -1})

@@ -58,6 +58,10 @@ ROUTER_ARGS = {
     "crosspoint_buffer_depth": (st.integers(1, 3), edge(1)),
     "subswitch_size": (st.sampled_from([2, 4]), edge(1)),
     "local_group_size": (st.integers(1, 4), edge(1)),
+    "subswitch_input_depth": (st.integers(0, 3), edge(0)),
+    "subswitch_output_depth": (st.integers(0, 3), edge(0)),
+    # The edge table moves a name to an unknown allocator.
+    "vc_allocator": (st.sampled_from(["cva", "ova"]), st.just("ideal")),
     "sa_latency": (st.integers(0, 3), edge(0)),
     "ova_extra_latency": (st.integers(0, 2), edge(0)),
     "route_latency": (st.integers(0, 2), edge(0)),

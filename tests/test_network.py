@@ -159,7 +159,7 @@ class TestClosNetworkSimulation:
     def test_rejects_unmeasurable_windows(self, windows, name):
         sim = ClosNetworkSimulation(self.CFG, load=0.3)
         with pytest.raises(ValueError, match=name):
-            sim.start_run(SweepSettings(*windows))
+            sim.start_run(**dict(zip(("warmup", "measure", "drain"), windows)))
         # Nothing was started, so a valid program can still begin.
         sim.start_run(SweepSettings(0, 1, 0))
 

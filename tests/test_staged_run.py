@@ -37,6 +37,14 @@ def test_switch_window_fields_equal_settings():
     assert by_fields.__dict__ == by_settings.__dict__
 
 
+def test_settings_cannot_change_after_their_checks():
+    """``start_run`` trusts a ``SweepSettings``; mutating one after
+    construction used to skip the window checks."""
+    settings = SweepSettings(**WINDOW)
+    with pytest.raises(AttributeError):
+        settings.measure = 0  # type: ignore[misc]  # lint: disable=R003
+
+
 def test_network_window_fields_equal_settings():
     by_fields = NetworkSimulation(NET, load=0.3).run(**WINDOW)
     by_settings = NetworkSimulation(NET, load=0.3).run(
