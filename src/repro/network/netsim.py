@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -143,12 +144,14 @@ class NetworkSimulation(StagedRun):
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``topology``/
     #: ``_host_pattern``/``_event_mode``/``_trace_switch``), the hook
-    #: bus, ``_packet_rate`` (a pure function of config and load), and
+    #: bus, ``_packet_rate`` (a pure function of config and load), the
+    #: host attachment table (wiring; routers restore in place), and
     #: the numpy arrival mirrors, which restore re-derives from the
     #: restored Python RNG streams (see :meth:`snapshot`).
     SNAPSHOT_WIRING = (
         "config", "load", "topology", "_host_pattern", "hooks",
-        "_event_mode", "_trace_switch", "_packet_rate", "_np_streams",
+        "_event_mode", "_trace_switch", "_packet_rate", "_host_ports",
+        "_np_streams",
     )
 
     def __init__(
@@ -267,11 +270,9 @@ class NetworkSimulation(StagedRun):
         self._packet_rate = load * cap / config.packet_size
         self._rngs = [derive_rng(config.seed, "net", h) for h in range(n)]
         self._route_rng = derive_rng(config.seed, "route")
-        self._source_q: List[List[Flit]] = [[] for _ in range(n)]
-        #: Hosts with a non-empty source queue (superset is harmless).
-        #: Event mode injects over this set instead of scanning all
-        #: hosts; cycle mode maintains it too so the bookkeeping is
-        #: exercised identically.
+        self._source_q: List[deque[Flit]] = [deque() for _ in range(n)]
+        #: Hosts with a non-empty source queue (superset is harmless):
+        #: both schedulers inject over this set, not over every host.
         self._backlog_hosts: set = set()
         self._next_inject = [0] * n
         self._packet_vc: List[Optional[int]] = [None] * n
@@ -356,6 +357,14 @@ class NetworkSimulation(StagedRun):
                     # frees the slot, restore this link's counter.
                     target.credit_sinks[ref.port] = _CreditSink(link)
                 router.attach(port, link)
+        #: Per-host (edge router, input port), resolved once.
+        self._host_ports: List[Tuple[NetworkRouter, int]] = []
+        for host in range(topo.num_hosts):
+            attach = topo.host_attachment(host)
+            invariant(attach.switch is not None,
+                      "host attaches to no switch", check="topology",
+                      host=host)
+            self._host_ports.append((self.routers[attach.switch], attach.port))
 
     # ------------------------------------------------------------------
     # Simulation loop
@@ -417,10 +426,7 @@ class NetworkSimulation(StagedRun):
             self._generate_event(now)
         else:
             self._generate(now)
-        if self._event_mode:
-            self._inject_event(now)
-        else:
-            self._inject(now)
+        self._inject(now)
 
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon: earliest cycle >= ``now`` with harness work.
@@ -666,42 +672,33 @@ class NetworkSimulation(StagedRun):
             self._labeled_total += 1
 
     def _inject(self, now: int) -> None:
-        """Cycle-mode injection: scan every host in index order."""
-        for host in range(self.topology.num_hosts):
-            self._try_inject(host, now)
+        """Offer one flit per backlogged host, in ascending host order.
 
-    def _inject_event(self, now: int) -> None:
-        """Event-mode injection: only hosts with queued flits.
-
-        Sorted so the effective order matches the cycle-mode scan
-        (hosts without backlog are no-ops there).
+        A host without backlog returns at once from :meth:`_try_inject`,
+        so skipping it leaves the order every host would see unchanged.
         """
         for host in sorted(self._backlog_hosts):
             self._try_inject(host, now)
 
     def _try_inject(self, host: int, now: int) -> None:
         """Move one flit from ``host``'s queue into its edge router."""
-        topo = self.topology
         faults = self._faults
-        if now < self._next_inject[host] or not self._source_q[host]:
+        queue = self._source_q[host]
+        if now < self._next_inject[host] or not queue:
             return
         if faults is not None and not faults.channel_ready(host, now):
             return
-        flit = self._source_q[host][0]
-        attach = topo.host_attachment(host)
-        invariant(attach.switch is not None,
-                  "host attaches to no switch", cycle=now,
-                  check="topology")
-        router = self.routers[attach.switch]
+        flit = queue[0]
+        router, port = self._host_ports[host]
         vc = self._packet_vc[host]
         if flit.is_head and vc is None:
-            vc = self._pick_vc(router, attach.port, host)
+            vc = self._pick_vc(router, port, host)
             if vc is None:
                 return
             self._packet_vc[host] = vc
         invariant(vc is not None, "packet VC lost mid-packet",
-                  cycle=now, port=attach.port, check="injection")
-        if router.input_space(attach.port, vc) < 1:
+                  cycle=now, port=port, check="injection")
+        if router.input_space(port, vc) < 1:
             return
         flit.vc = vc
         if faults is not None and not faults.attempt_transmit(
@@ -712,11 +709,11 @@ class NetworkSimulation(StagedRun):
             # The corrupted transmission still occupied the channel.
             self._next_inject[host] = now + self.config.flit_cycles
             return
-        self._source_q[host].pop(0)
-        if not self._source_q[host]:
+        queue.popleft()
+        if not queue:
             self._backlog_hosts.discard(host)
         self._sched.wake(router, now)
-        router.accept(attach.port, flit)
+        router.accept(port, flit)
         self._next_inject[host] = now + self.config.flit_cycles
         if flit.is_tail:
             self._packet_vc[host] = None
@@ -787,7 +784,7 @@ class NetworkSimulation(StagedRun):
             "seq": next(copy.copy(self._seq)),
             "inflight": inflight,
             "harness": {
-                "source_q": self._source_q,
+                "source_q": [list(q) for q in self._source_q],
                 "backlog_hosts": sorted(self._backlog_hosts),
                 "next_inject": self._next_inject,
                 "packet_vc": self._packet_vc,
@@ -837,7 +834,7 @@ class NetworkSimulation(StagedRun):
         # Captured sorted; a sorted list is a valid binary heap.
         self._inflight = inflight
         harness = state["harness"]
-        self._source_q = harness["source_q"]
+        self._source_q = [deque(q) for q in harness["source_q"]]
         self._backlog_hosts = set(harness["backlog_hosts"])
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]

@@ -325,76 +325,71 @@ class NetworkRouter(Component):
             link.credits = captured["credits"]
 
     def _allocate(self) -> None:
+        """Separable round-robin allocation in one pass.
+
+        A round-robin arbiter grants the first request at or after its
+        pointer, so each free input walks its VCs from the pointer and
+        stops at the first sendable head: the grant and the pointer
+        update equal a full scan followed by ``arbitrate``, because the
+        sendability test reads state and changes none.  Each output then
+        grants its requester nearest at or after its own pointer.
+        """
         now = self.cycle
-        n = self.config.num_ports
-        requests = self._gather_candidates()
+        num_vcs = self.config.num_vcs
+        links = self.links
+        stuck = self._stuck_inputs
+        in_active = self._in_active
+        input_free = self.input_busy.free
+        requests: Dict[int, List[Tuple[int, int, Flit]]] = {}
+        for i, bank in enumerate(self.inputs):
+            if not in_active[i] or not input_free(i, now):
+                continue
+            arb = self._input_arb[i]
+            queues = bank.queues
+            start = arb.pointer
+            for k in range(start, start + num_vcs):
+                vc = k % num_vcs
+                flit = queues[vc].head()
+                if flit is None or (stuck and (i, vc) in stuck):
+                    continue
+                if flit.hops >= len(flit.route):
+                    raise RuntimeError(
+                        f"{self.name}: flit {flit.packet_id} has "
+                        "exhausted its route"
+                    )
+                out = flit.route[flit.hops]
+                link = links[out]
+                if link is None:
+                    raise RuntimeError(
+                        f"{self.name}: output {out} not attached"
+                    )
+                fvc = flit.vc
+                if not link.alive or not link.credit_available(fvc):
+                    continue
+                # A head needs the output VC free or already its own; a
+                # body flit needs it to be its own.
+                owner = link.vc_state.owners[fvc]
+                if owner != flit.packet_id and (
+                    owner is not None or not flit.is_head
+                ):
+                    continue
+                arb.commit(vc)
+                requests.setdefault(out, []).append((i, vc, flit))
+                break
+        output_free = self.output_busy.free
         for out, reqs in requests.items():
-            if not self.output_busy.free(out, now):
+            if not output_free(out, now):
                 continue
-            lines = [False] * n
-            by_input = {}
-            for i, vc, flit in reqs:
-                lines[i] = True
-                by_input[i] = (vc, flit)
-            winner = self._output_arb[out].arbitrate(lines)
-            if winner is None:
-                continue
-            vc, flit = by_input[winner]
-            self._transmit(winner, vc, flit, out)
-
-    def _gather_candidates(self) -> dict:
-        """Input arbitration: one (input, vc, flit) candidate per free
-        input, keyed by the candidate's next-hop output port."""
-        now = self.cycle
-        requests: dict = {}
-        for i in range(self.config.num_ports):
-            if not self._in_active[i]:
-                continue
-            if not self.input_busy.free(i, now):
-                continue
-            cands = [
-                self._candidate(i, vc) for vc in range(self.config.num_vcs)
-            ]
-            vc = self._input_arb[i].arbitrate([c is not None for c in cands])
-            if vc is None:
-                continue
-            flit = cands[vc]
-            invariant(flit is not None, "input arbiter granted a VC with "
-                      "no candidate flit", cycle=self.cycle, port=i, vc=vc,
-                      check="arbitration")
-            out = flit.route[flit.hops]
-            requests.setdefault(out, []).append((i, vc, flit))
-        return requests
-
-    def _candidate(self, i: int, vc: int) -> Optional[Flit]:
-        if self._stuck_inputs and (i, vc) in self._stuck_inputs:
-            return None
-        flit = self.inputs[i][vc].head()
-        if flit is None:
-            return None
-        if flit.hops >= len(flit.route):
-            raise RuntimeError(
-                f"{self.name}: flit {flit.packet_id} has exhausted its route"
-            )
-        out = flit.route[flit.hops]
-        link = self.links[out]
-        if link is None:
-            raise RuntimeError(f"{self.name}: output {out} not attached")
-        if not link.alive:
-            return None
-        if not link.credit_available(flit.vc):
-            return None
-        state = link.vc_state
-        if flit.is_head:
-            if not (
-                state.is_free(flit.vc)
-                or state.owner(flit.vc) == flit.packet_id
-            ):
-                return None
-        else:
-            if state.owner(flit.vc) != flit.packet_id:
-                return None
-        return flit
+            # Inputs were visited in ascending order, so the first
+            # requester at or after the pointer is the round-robin
+            # winner; with none, the lowest input wraps around.
+            arb = self._output_arb[out]
+            i, vc, flit = reqs[0]
+            if len(reqs) > 1:
+                ptr = arb.pointer
+                i, vc, flit = next((r for r in reqs if r[0] >= ptr), reqs[0])
+            arb.commit(i)
+            self._transmit(i, vc, flit, out)
 
     def _transmit(self, i: int, vc: int, flit: Flit, out: int) -> None:
         link = self.links[out]

@@ -15,6 +15,9 @@ parametrized tests pin every organization so a regression names the
 culprit directly.
 """
 
+import pickle
+from collections import deque
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -168,6 +171,31 @@ class TestNetworkRoundTrip:
             lambda sim: sim.start_workload_run(max_cycles=20000),
             90, path,
         )
+        assert got == expect
+        assert got.extra == expect.extra
+
+    def test_list_source_queues_resume(self, tmp_path):
+        """A checkpoint whose host source queues are plain lists, the
+        layout format-2 files have always held, resumes onto deque
+        queues byte-identically to a straight run."""
+        cfg = NetworkConfig(radix=4, levels=2, seed=4)
+        path = tmp_path / "net.ckpt"
+        expect, _ = _roundtrip(
+            lambda: NetworkSimulation(cfg, load=0.95),
+            lambda sim: sim.start_run(warmup=60, measure=120, drain=500),
+            150, path,
+        )
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        harness = payload["state"]["harness"]
+        harness["source_q"] = [list(q) for q in harness["source_q"]]
+        assert any(harness["source_q"]), "no backlog to carry over"
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        resumed = load_checkpoint(path)
+        assert all(isinstance(q, deque) for q in resumed._source_q)
+        assert resumed.advance_run()
+        got = resumed.finish_run()
         assert got == expect
         assert got.extra == expect.extra
 

@@ -208,11 +208,16 @@ class TestActiveSetEquivalence:
         sim.run(SETTINGS)
         assert sim._sched.component_steps < sim._sched.cycles_run
 
-    def test_network_results_identical(self):
-        cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=1)
+    @pytest.mark.parametrize("cfg,load", [
+        (NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=1), 0.2),
+        # Multi-flit packets hold output VCs across cycles, so VC
+        # ownership runs under both schedules.
+        (NetworkConfig(radix=4, levels=2, num_vcs=4, packet_size=4), 0.6),
+    ], ids=["single-flit", "multi-flit"])
+    def test_network_results_identical(self, cfg, load):
         results = []
         for active_set in (True, False):
-            sim = ClosNetworkSimulation(cfg, load=0.2,
+            sim = ClosNetworkSimulation(cfg, load=load,
                                         active_set=active_set)
             results.append(
                 sim.run(warmup=150, measure=250, drain=3000)
